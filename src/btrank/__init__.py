@@ -27,6 +27,7 @@ from .diagnostics import (
     diagnose,
     kendall_tau_distance,
     multivariate_ess,
+    rank_entities,
     rank_stability_series,
     sample_covariance,
     spectral_longrun,
@@ -54,7 +55,7 @@ from .prior import (
     log_income_distance,
     sample_constrained,
 )
-from .report import RankingReport, compare_rankings, export_report, rank_entities, summarize
+from .report import RankingReport, compare_rankings, export_report, summarize
 from .sim import SimStudySpec, run_recovery_study, simulate_win_matrix
 from .wins import WinMatrix, build_win_matrix, export_win_matrix, total_comparisons
 

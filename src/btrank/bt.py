@@ -8,6 +8,9 @@ from scipy.special import expit
 
 from .wins import WinMatrix
 
+# draws per batched likelihood evaluation; at M=33 a chunk's temporaries take ~4 MB
+LOGLIK_CHUNK = 512
+
 
 def win_probability(merit_i: float, merit_j: float) -> float:
     """Probability that the entity with merit ``merit_i`` beats ``merit_j``.
@@ -18,18 +21,28 @@ def win_probability(merit_i: float, merit_j: float) -> float:
     return float(expit(merit_i - merit_j))
 
 
-def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
-    """Bradley-Terry log-likelihood of a merit vector given counted wins.
+def log_likelihood(merits: np.ndarray, w: WinMatrix):
+    """Bradley-Terry log-likelihood of a merit vector, or of each row of a draw array.
 
-    Binomial coefficients are constant in the merits and omitted.  Evaluated
-    through log1p-style sums, so large merit gaps stay finite.
+    A vector of shape ``(M,)`` gives a float; draws of shape ``(N, M)`` give an
+    ``(N,)`` array, evaluated ``LOGLIK_CHUNK`` draws at a time so the
+    ``(chunk, M, M)`` temporaries stay small.  Binomial coefficients are
+    constant in the merits and omitted.  Evaluated through log1p-style sums,
+    so large merit gaps stay finite.
     """
     merits = np.asarray(merits, dtype=float)
-    if merits.shape != (w.m,):
-        raise ValueError(f"merits must have shape {(w.m,)}, got {merits.shape}")
-    diff = merits[None, :] - merits[:, None]
-    # log pi[i, j] = -log(1 + exp(merit_j - merit_i)); diagonal weight is zero
-    return float(-np.sum(w.wins * np.logaddexp(0.0, diff)))
+    if merits.ndim not in (1, 2) or merits.shape[-1] != w.m:
+        raise ValueError(f"merits must have shape {(w.m,)} or (N, {w.m}), got {merits.shape}")
+    if merits.ndim == 1:
+        diff = merits[None, :] - merits[:, None]
+        # log pi[i, j] = -log(1 + exp(merit_j - merit_i)); diagonal weight is zero
+        return float(-np.sum(w.wins * np.logaddexp(0.0, diff)))
+    out = np.empty(len(merits))
+    for start in range(0, len(merits), LOGLIK_CHUNK):
+        chunk = merits[start : start + LOGLIK_CHUNK]
+        diff = chunk[:, None, :] - chunk[:, :, None]
+        out[start : start + len(chunk)] = -np.sum(w.wins * np.logaddexp(0.0, diff), axis=(1, 2))
+    return out
 
 
 def _check_mle_exists(w: WinMatrix) -> None:

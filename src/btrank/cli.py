@@ -12,10 +12,10 @@ import numpy as np
 
 from .bt import mle_newman
 from .data import apply_missing_policy, income_for_entities, load_dataset, subset_by_zone
-from .diagnostics import diagnose, trace_export
+from .diagnostics import diagnose, rank_entities, trace_export
 from .mcmc import SamplerConfig, load_chain, read_chain_metadata, run_chain, save_chain
 from .prior import RATIONAL_QUADRATIC, KernelSpec, build_prior
-from .report import export_report, rank_entities, summarize
+from .report import export_report, summarize
 from .sim import SimStudySpec, run_recovery_study, write_study_csv
 from .wins import build_win_matrix, export_win_matrix, total_comparisons
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bt import log_likelihood
 from .mcmc import ChainSamples
 from .prior import ConstrainedCovariance
 from .wins import WinMatrix
@@ -116,6 +117,22 @@ def _cap_ess(ess: float, n: int) -> tuple[float, bool]:
     return ess, False
 
 
+def _ess(draws, threshold: float, bandwidth: int | None):
+    """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2:
+        raise ValueError("draws must be a 2-D array of shape (N, M)")
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+    n = len(draws)
+    b = default_bandwidth(n) if bandwidth is None else int(bandwidth)
+    sigma = sample_covariance(draws)
+    longrun, floored = spectral_longrun(draws, b, return_flag=True)
+    ess, rank_est = _ess_core(sigma, longrun, n, threshold)
+    ess, capped = _cap_ess(ess, n)
+    return ess, rank_est, b, floored, capped
+
+
 def multivariate_ess(draws: np.ndarray, threshold: float = 1e-8,
                      bandwidth: int | None = None) -> tuple[float, int]:
     """Effective sample size of a vector chain on its non-degenerate subspace.
@@ -139,18 +156,15 @@ def multivariate_ess(draws: np.ndarray, threshold: float = 1e-8,
         The estimate is capped at 1.5 N (with a warning) since values beyond
         that exceed what the estimator can resolve.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError("draws must be a 2-D array of shape (N, M)")
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
-    n = len(draws)
-    b = default_bandwidth(n) if bandwidth is None else int(bandwidth)
-    sigma = sample_covariance(draws)
-    longrun = spectral_longrun(draws, b)
-    ess, rank_est = _ess_core(sigma, longrun, n, threshold)
-    ess, _ = _cap_ess(ess, n)
-    return ess, rank_est
+    return _ess(draws, threshold, bandwidth)[:2]
+
+
+def _fft_autocovariance(centered: np.ndarray, max_lag: int) -> np.ndarray:
+    """Lag 0..max_lag autocovariances of a centered series, divisor N, via a zero-padded FFT."""
+    n = len(centered)
+    nfft = 1 << int(2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(centered, nfft)
+    return np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1].real / n
 
 
 def univariate_ess(x: np.ndarray) -> float:
@@ -170,9 +184,7 @@ def univariate_ess(x: np.ndarray) -> float:
     if var0 == 0.0:
         return float(n)
 
-    nfft = 1 << int(2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(centered, nfft)
-    acov = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[:n].real / n
+    acov = _fft_autocovariance(centered, n - 1)
 
     pair_count = n // 2
     pairs = acov[0 : 2 * pair_count : 2] + acov[1 : 2 * pair_count : 2]
@@ -194,34 +206,18 @@ def acceptance_rate(samples: ChainSamples) -> float:
     return samples.accepted / samples.proposed
 
 
-def _count_inversions(seq: np.ndarray) -> int:
-    # bottom-up merge sort, counting crossings between the halves it merges
-    work = np.array(seq, dtype=float)
-    buffer = np.empty_like(work)
-    n = len(work)
-    inversions = 0
-    width = 1
-    while width < n:
-        for start in range(0, n, 2 * width):
-            mid = min(start + width, n)
-            end = min(start + 2 * width, n)
-            i, j, k = start, mid, start
-            while i < mid and j < end:
-                if work[i] <= work[j]:
-                    buffer[k] = work[i]
-                    i += 1
-                else:
-                    buffer[k] = work[j]
-                    j += 1
-                    inversions += mid - i
-                k += 1
-            if i < mid:
-                buffer[k:end] = work[i:mid]
-            else:
-                buffer[k:end] = work[j:end]
-            work[start:end] = buffer[start:end]
-        width *= 2
-    return inversions
+def discordant_pairs(rank_a, rank_b) -> np.ndarray:
+    """Upper-triangular mask of the pairs ``(i, j)``, ``i < j``, two rankings order differently.
+
+    Both arguments must be permutations of the same values.
+    """
+    a = np.asarray(rank_a)
+    b = np.asarray(rank_b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("rankings must be 1-D arrays of equal length")
+    if len(np.unique(a)) != len(a) or not np.array_equal(np.sort(a), np.sort(b)):
+        raise ValueError("rankings must be permutations of the same values")
+    return np.triu((a[:, None] < a) != (b[:, None] < b), 1)
 
 
 def kendall_tau_distance(rank_a, rank_b) -> int:
@@ -230,20 +226,18 @@ def kendall_tau_distance(rank_a, rank_b) -> int:
     Both arguments must be permutations of the same values.  Zero means
     identical orderings; the maximum is M (M - 1) / 2 for full reversal.
     """
-    a = np.asarray(rank_a)
-    b = np.asarray(rank_b)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("rankings must be 1-D arrays of equal length")
-    if len(np.unique(a)) != len(a) or not np.array_equal(np.sort(a), np.sort(b)):
-        raise ValueError("rankings must be permutations of the same values")
-    order = np.argsort(a, kind="stable")
-    return _count_inversions(b[order])
+    return int(np.count_nonzero(discordant_pairs(rank_a, rank_b)))
 
 
-def rank_descending(values) -> np.ndarray:
-    """Ranks 1..M by descending value, ties broken by original position."""
+def rank_entities(values, names=None) -> np.ndarray:
+    """Ranks 1..M by descending value.
+
+    Exact ties go to the lexicographically smaller name when ``names`` are
+    given, and to the earlier position otherwise.
+    """
     values = np.asarray(values, dtype=float)
-    order = np.lexsort((np.arange(len(values)), -values))
+    keys = np.arange(len(values)) if names is None else np.asarray(names)
+    order = np.lexsort((keys, -values))
     ranks = np.empty(len(values), dtype=int)
     ranks[order] = np.arange(1, len(values) + 1)
     return ranks
@@ -261,11 +255,11 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
     if n < 1:
         raise ValueError("chain has no kept draws")
     running = np.cumsum(samples.merit_draws, axis=0)
-    final = rank_descending(running[-1] / n)
+    final = rank_entities(running[-1] / n)
     points = list(range(window, n, window)) + [n]
     series = []
     for t in points:
-        ranks_t = rank_descending(running[t - 1] / t)
+        ranks_t = rank_entities(running[t - 1] / t)
         series.append((t, kendall_tau_distance(ranks_t, final)))
     return series
 
@@ -279,10 +273,7 @@ def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
         out = np.zeros(max_lag + 1)
         out[0] = 1.0
         return out
-    nfft = 1 << int(2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(centered, nfft)
-    acov = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1].real / n
-    return acov / var0
+    return _fft_autocovariance(centered, max_lag) / var0
 
 
 def _resolve_params(samples: ChainSamples, params, cov, wins) -> list[str]:
@@ -304,17 +295,6 @@ def _resolve_params(samples: ChainSamples, params, cov, wins) -> list[str]:
         if name == "loglik" and wins is None:
             raise ValueError("loglik requires the win matrix")
     return names
-
-
-def _chunked_loglik(draws: np.ndarray, wins: WinMatrix) -> np.ndarray:
-    out = np.empty(len(draws))
-    for start in range(0, len(draws), 512):
-        chunk = draws[start : start + 512]
-        diff = chunk[:, None, :] - chunk[:, :, None]
-        out[start : start + len(chunk)] = -np.sum(
-            wins.wins * np.logaddexp(0.0, diff), axis=(1, 2)
-        )
-    return out
 
 
 def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance | None = None,
@@ -343,7 +323,7 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
                 "ni,ij,nj->n", samples.merit_draws, cov.pinv, samples.merit_draws
             )
         else:
-            series[name] = _chunked_loglik(samples.merit_draws, wins)
+            series[name] = log_likelihood(samples.merit_draws, wins)
 
     max_lag = min(default_bandwidth(n) if bandwidth is None else int(bandwidth), n - 1)
     trace_rows = []
@@ -398,18 +378,12 @@ def diagnose(samples: ChainSamples, threshold: float = 1e-8, bandwidth: int | No
     of the kept draws.  ``extra_flags`` are merged into the report flags so
     callers can carry provenance such as whether prior jitter was applied.
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
     draws = samples.merit_draws
-    n = samples.n_kept
-    b = default_bandwidth(n) if bandwidth is None else int(bandwidth)
-    sigma = sample_covariance(draws)
-    longrun, floored = spectral_longrun(draws, b, return_flag=True)
-    ess, rank_est = _ess_core(sigma, longrun, n, threshold)
-    ess, capped = _cap_ess(ess, n)
+    ess, rank_est, b, floored, capped = _ess(draws, threshold, bandwidth)
 
     per_param = np.array([univariate_ess(draws[:, j]) for j in range(samples.m)])
-    series = rank_stability_series(samples, window if window else max(1, n // 100))
+    window = max(1, samples.n_kept // 100) if window is None else window
+    series = rank_stability_series(samples, window)
     flags = {"eigenvalue_floor_hit": floored, "ess_capped": capped}
     if extra_flags:
         flags.update(extra_flags)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bt import log_likelihood
 from .prior import ConstrainedCovariance, KernelSpec, sample_constrained
 from .wins import WinMatrix
 
@@ -128,11 +129,6 @@ def mh_accept(loglik_new: float, loglik_old: float, rng: np.random.Generator) ->
     return bool(np.log(rng.random()) < loglik_new - loglik_old)
 
 
-def _loglik(wins: np.ndarray, merits: np.ndarray) -> float:
-    diff = merits[None, :] - merits[:, None]
-    return float(-np.sum(wins * np.logaddexp(0.0, diff)))
-
-
 def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -> ChainSamples:
     """Run one Gibbs-within-pCN chain and return post-burn-in draws.
 
@@ -147,14 +143,13 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
 
     rng = np.random.default_rng(config.seed)
-    wins = w.wins
-    flat = not wins.any()
+    flat = not w.wins.any()
     contraction = np.sqrt(1.0 - config.beta**2)
 
     state = ChainState(
         merits=np.zeros(w.m),
         variance=1.0 if config.fix_variance is None else float(config.fix_variance),
-        loglik=0.0 if flat else _loglik(wins, np.zeros(w.m)),
+        loglik=0.0 if flat else log_likelihood(np.zeros(w.m), w),
     )
 
     n_post = config.iterations - config.burn_in
@@ -173,7 +168,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
             )
         noise = sample_constrained(cov, state.variance, rng)
         proposal = contraction * state.merits + config.beta * noise
-        loglik_new = 0.0 if flat else _loglik(wins, proposal)
+        loglik_new = 0.0 if flat else log_likelihood(proposal, w)
         if not np.isfinite(loglik_new):
             raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
         accept = mh_accept(loglik_new, state.loglik, rng)

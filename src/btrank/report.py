@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import kendall_tau_distance
+from .diagnostics import discordant_pairs, rank_entities
 from .mcmc import ChainSamples
 
 MIN_DRAWS = 100
@@ -55,15 +55,6 @@ class RankingReport:
         if self.mle_rank is None:
             return None
         return {name: int(r) for name, r in zip(self.entities, self.mle_rank)}
-
-
-def rank_entities(values: np.ndarray, entities) -> np.ndarray:
-    """Ranks 1..M by descending value, breaking exact ties by entity name."""
-    order = sorted(range(len(entities)), key=lambda i: (-values[i], entities[i]))
-    ranks = np.empty(len(entities), dtype=int)
-    for position, idx in enumerate(order, start=1):
-        ranks[idx] = position
-    return ranks
 
 
 def _outranking(draws: np.ndarray) -> np.ndarray:
@@ -144,14 +135,8 @@ def compare_rankings(ranks_a: dict, ranks_b: dict):
     names = sorted(ranks_a)
     a = np.array([ranks_a[name] for name in names])
     b = np.array([ranks_b[name] for name in names])
-    distance = kendall_tau_distance(a, b)
-    swaps = [
-        (names[i], names[j])
-        for i in range(len(names))
-        for j in range(i + 1, len(names))
-        if (a[i] - a[j]) * (b[i] - b[j]) < 0
-    ]
-    return distance, swaps
+    swaps = [(names[i], names[j]) for i, j in zip(*np.nonzero(discordant_pairs(a, b)))]
+    return len(swaps), swaps
 
 
 def _fmt(value: float) -> str:

@@ -11,7 +11,7 @@ from scipy.special import expit
 from scipy.stats import pearsonr, spearmanr
 
 from .bt import mle_newman
-from .diagnostics import kendall_tau_distance, rank_descending
+from .diagnostics import kendall_tau_distance, rank_entities
 from .mcmc import SamplerConfig, posterior_mean, run_chain
 from .prior import KernelSpec, constrain, kernel_matrix, sample_constrained
 from .wins import WinMatrix
@@ -79,7 +79,7 @@ def _metric_row(replication: int, length_scale: float, method: str,
     spearman = float(spearmanr(truth, estimate)[0])
     pearson = float(pearsonr(truth, estimate)[0])
     rmse = float(np.sqrt(np.mean((estimate - truth) ** 2)))
-    kendall = int(kendall_tau_distance(rank_descending(truth), rank_descending(estimate)))
+    kendall = int(kendall_tau_distance(rank_entities(truth), rank_entities(estimate)))
     return {
         "replication": replication,
         "length_scale": length_scale,

@@ -58,8 +58,17 @@ class TestLogLikelihood:
         assert np.isfinite(log_likelihood(np.array([500.0, -500.0]), w))
 
     def test_shape_mismatch(self, toy_wins):
-        with pytest.raises(ValueError, match="shape"):
-            log_likelihood(np.zeros(toy_wins.m + 1), toy_wins)
+        m = toy_wins.m
+        for shape in [(m + 1,), (1300, m + 1), (2, 1300, m)]:
+            with pytest.raises(ValueError, match="shape"):
+                log_likelihood(np.zeros(shape), toy_wins)
+
+    def test_draw_array_matches_row_by_row(self, toy_wins):
+        # 1300 draws span three chunks, the last one partial
+        draws = np.random.default_rng(3).normal(size=(1300, toy_wins.m))
+        batched = log_likelihood(draws, toy_wins)
+        assert batched.shape == (1300,)
+        assert np.array_equal(batched, [log_likelihood(row, toy_wins) for row in draws])
 
 
 class TestMleNewman:

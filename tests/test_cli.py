@@ -138,6 +138,16 @@ class TestDiagnose:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_window_maps_to_the_validation_exit_code(self, tmp_path, capsys):
+        fit_out = tmp_path / "fit"
+        assert main(fixture_args(fit_out)) == 0
+        code = main([
+            "diagnose", str(fit_out / "chain.npz"), "--out", str(tmp_path / "diag"),
+            "--window", "0",
+        ])
+        assert code == 1
+        assert "window must be at least 1" in capsys.readouterr().err
+
     def test_corrupt_dump_maps_to_the_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"not a chain dump")

@@ -18,6 +18,7 @@ from btrank import (
     diagnose,
     kendall_tau_distance,
     multivariate_ess,
+    rank_entities,
     rank_stability_series,
     run_chain,
     sample_covariance,
@@ -25,7 +26,7 @@ from btrank import (
     trace_export,
     univariate_ess,
 )
-from btrank.diagnostics import _ess_core, default_bandwidth, rank_descending
+from btrank.diagnostics import _ess_core, default_bandwidth
 
 from .conftest import make_income
 
@@ -258,10 +259,10 @@ class TestKendallTauDistance:
 
 class TestRankDescending:
     def test_largest_value_gets_rank_one(self):
-        np.testing.assert_array_equal(rank_descending([3.0, 1.0, 2.0]), [1, 3, 2])
+        np.testing.assert_array_equal(rank_entities([3.0, 1.0, 2.0]), [1, 3, 2])
 
     def test_ties_break_by_position(self):
-        np.testing.assert_array_equal(rank_descending([2.0, 2.0, 5.0]), [2, 3, 1])
+        np.testing.assert_array_equal(rank_entities([2.0, 2.0, 5.0]), [2, 3, 1])
 
 
 class TestRankStabilitySeries:
@@ -277,8 +278,8 @@ class TestRankStabilitySeries:
         # with the final running-mean ranking in exactly one pair
         draws = np.array([[1.0, 0.0, -1.0], [-5.0, 4.0, 1.0]])
         series = rank_stability_series(toy_samples(draws), window=1)
-        final = rank_descending(draws.mean(axis=0))
-        first = rank_descending(draws[0])
+        final = rank_entities(draws.mean(axis=0))
+        first = rank_entities(draws[0])
         assert series[0] == (1, kendall_tau_distance(first, final))
         assert series[-1] == (2, 0)
 
@@ -353,6 +354,10 @@ class TestDiagnose:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="threshold"):
             diagnose(self.samples, threshold=2.0)
+
+    def test_zero_window_is_rejected_not_defaulted(self):
+        with pytest.raises(ValueError, match="window"):
+            diagnose(self.samples, window=0)
 
 
 class TestDiagnosticsReportValidation:

@@ -156,6 +156,23 @@ class TestCompareRankings:
         assert distance == 3
         assert swaps == [("b", "m"), ("b", "t"), ("m", "t")]
 
+    def test_swaps_match_a_brute_force_pair_list(self):
+        rng = np.random.default_rng(21)
+        names = [f"n{i:02d}" for i in rng.permutation(12)]
+        for _ in range(20):
+            a = dict(zip(names, rng.permutation(12) + 1))
+            b = dict(zip(names, rng.permutation(12) + 1))
+            ordered = sorted(names)
+            expected = [
+                (x, y)
+                for i, x in enumerate(ordered)
+                for y in ordered[i + 1 :]
+                if (a[x] - a[y]) * (b[x] - b[y]) < 0
+            ]
+            distance, swaps = compare_rankings(a, b)
+            assert swaps == expected
+            assert distance == len(swaps)
+
     def test_mismatched_entity_sets(self):
         with pytest.raises(ValueError, match="different entity sets"):
             compare_rankings({"a": 1}, {"b": 1})
