@@ -36,12 +36,9 @@ from .diagnostics import (
 )
 from .mcmc import (
     ChainSamples,
-    ChainState,
     SamplerConfig,
     gibbs_variance,
     load_chain,
-    mh_accept,
-    pcn_propose,
     posterior_mean,
     run_chain,
     save_chain,
@@ -63,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainSamples",
-    "ChainState",
     "ConstrainedCovariance",
     "DiagnosticsReport",
     "IncomeTable",
@@ -94,10 +90,8 @@ __all__ = [
     "load_indicators",
     "log_income_distance",
     "log_likelihood",
-    "mh_accept",
     "mle_newman",
     "multivariate_ess",
-    "pcn_propose",
     "posterior_mean",
     "rank_entities",
     "rank_stability_series",

@@ -6,9 +6,10 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
-from .wins import WinMatrix
+from .wins import PairList, WinMatrix
 
-# draws per batched likelihood evaluation; at M=33 a chunk's temporaries take ~4 MB
+# draws per batched likelihood evaluation; at M=33 (528 compared pairs) each
+# (chunk, P) temporary takes about 2 MB
 LOGLIK_CHUNK = 512
 
 
@@ -21,27 +22,36 @@ def win_probability(merit_i: float, merit_j: float) -> float:
     return float(expit(merit_i - merit_j))
 
 
+def _pair_log_likelihood(merits: np.ndarray, diff: np.ndarray, pairs: PairList) -> np.ndarray:
+    # score . merits - counts . log(1 + exp(diff)) along the last axis, where diff holds
+    # m_j - m_i per compared pair; vecdot reduces every row alike, so a row of a batch
+    # matches the vector result bit for bit
+    return np.vecdot(merits, pairs.score) - np.vecdot(np.logaddexp(0.0, diff), pairs.counts)
+
+
 def log_likelihood(merits: np.ndarray, w: WinMatrix):
     """Bradley-Terry log-likelihood of a merit vector, or of each row of a draw array.
 
     A vector of shape ``(M,)`` gives a float; draws of shape ``(N, M)`` give an
     ``(N,)`` array, evaluated ``LOGLIK_CHUNK`` draws at a time so the
-    ``(chunk, M, M)`` temporaries stay small.  Binomial coefficients are
-    constant in the merits and omitted.  Evaluated through log1p-style sums,
-    so large merit gaps stay finite.
+    ``(chunk, P)`` temporaries over the P compared pairs stay small.
+    Binomial coefficients are constant in the merits and omitted.  Each pair
+    ``i < j`` contributes ``wins[i,j] log pi_ij + wins[j,i] log pi_ji``,
+    written as ``wins[j,i] (m_j - m_i) - comparisons[i,j] log(1 + exp(m_j - m_i))``
+    and evaluated with ``logaddexp``, so large merit gaps stay finite.
     """
     merits = np.asarray(merits, dtype=float)
     if merits.ndim not in (1, 2) or merits.shape[-1] != w.m:
         raise ValueError(f"merits must have shape {(w.m,)} or (N, {w.m}), got {merits.shape}")
+    pairs = w.pairs
     if merits.ndim == 1:
-        diff = merits[None, :] - merits[:, None]
-        # log pi[i, j] = -log(1 + exp(merit_j - merit_i)); diagonal weight is zero
-        return float(-np.sum(w.wins * np.logaddexp(0.0, diff)))
+        return float(_pair_log_likelihood(merits, merits[pairs.j] - merits[pairs.i], pairs))
     out = np.empty(len(merits))
     for start in range(0, len(merits), LOGLIK_CHUNK):
         chunk = merits[start : start + LOGLIK_CHUNK]
-        diff = chunk[:, None, :] - chunk[:, :, None]
-        out[start : start + len(chunk)] = -np.sum(w.wins * np.logaddexp(0.0, diff), axis=(1, 2))
+        # take keeps the rows contiguous, as vecdot's bit-for-bit match needs
+        diff = chunk.take(pairs.j, axis=1) - chunk.take(pairs.i, axis=1)
+        out[start : start + len(chunk)] = _pair_log_likelihood(chunk, diff, pairs)
     return out
 
 

@@ -159,9 +159,17 @@ def multivariate_ess(draws: np.ndarray, threshold: float = 1e-8,
     return _ess(draws, threshold, bandwidth)[:2]
 
 
-def _fft_autocovariance(centered: np.ndarray, max_lag: int) -> np.ndarray:
-    """Lag 0..max_lag autocovariances of a centered series, divisor N, via a zero-padded FFT."""
-    n = len(centered)
+def _fft_autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray | None:
+    """Lag 0..max_lag autocovariances of a series, divisor N, via a zero-padded FFT.
+
+    Returns None for a constant series.  Constancy is tested exactly: centering
+    a constant such as 0.3 can leave a ~1e-17 residue whose autocovariances
+    look like a perfectly correlated series.
+    """
+    if np.ptp(x) == 0:
+        return None
+    n = len(x)
+    centered = x - x.mean()
     nfft = 1 << int(2 * n - 1).bit_length()
     spectrum = np.fft.rfft(centered, nfft)
     return np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1].real / n
@@ -179,12 +187,9 @@ def univariate_ess(x: np.ndarray) -> float:
     if x.ndim != 1 or len(x) < 4:
         raise ValueError("need a 1-D series of at least 4 draws")
     n = len(x)
-    centered = x - x.mean()
-    var0 = float(centered @ centered) / n
-    if var0 == 0.0:
+    acov = _fft_autocovariance(x, n - 1)
+    if acov is None:
         return float(n)
-
-    acov = _fft_autocovariance(centered, n - 1)
 
     pair_count = n // 2
     pairs = acov[0 : 2 * pair_count : 2] + acov[1 : 2 * pair_count : 2]
@@ -265,15 +270,12 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
 
 
 def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    centered = x - x.mean()
-    var0 = float(centered @ centered) / n
-    if var0 == 0.0:
+    acov = _fft_autocovariance(np.asarray(x, dtype=float), max_lag)
+    if acov is None:
         out = np.zeros(max_lag + 1)
         out[0] = 1.0
         return out
-    return _fft_autocovariance(centered, max_lag) / var0
+    return acov / acov[0]
 
 
 def _resolve_params(samples: ChainSamples, params, cov, wins) -> list[str]:

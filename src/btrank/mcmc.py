@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -11,11 +12,15 @@ from pathlib import Path
 import numpy as np
 
 from .bt import log_likelihood
-from .prior import ConstrainedCovariance, KernelSpec, sample_constrained
+from .prior import ConstrainedCovariance, KernelSpec
 from .wins import WinMatrix
 
 # fixed zip entry timestamp so chain dumps are byte-identical across runs
 _EPOCH = (1980, 1, 1, 0, 0, 0)
+
+# iterations whose random draws are made at once; at rank 32 the block's
+# normals take 256 kB
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -55,15 +60,6 @@ class SamplerConfig:
             raise ValueError("prior_shape and prior_scale must be positive")
         if self.fix_variance is not None and not self.fix_variance > 0:
             raise ValueError("fix_variance must be positive when given")
-
-
-@dataclass
-class ChainState:
-    """Current merit vector, prior variance, and cached log-likelihood."""
-
-    merits: np.ndarray
-    variance: float
-    loglik: float
 
 
 @dataclass(frozen=True)
@@ -107,26 +103,12 @@ def gibbs_variance(merits: np.ndarray, cov: ConstrainedCovariance, prior_shape: 
     ``prior_scale + merits' pinv merits``.  With ``rank_adjusted`` the shape
     uses the constraint rank instead of M.
     """
-    dim = cov.rank if rank_adjusted else len(merits)
-    shape = prior_shape + 0.5 * dim
     scale = prior_scale + float(merits @ cov.pinv @ merits)
-    return scale / rng.gamma(shape)
+    return scale / rng.gamma(_gibbs_shape(prior_shape, cov, len(merits), rank_adjusted))
 
 
-def pcn_propose(state: ChainState, cov: ConstrainedCovariance, beta: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Autoregressive proposal: contract the current merits and add fresh prior noise."""
-    noise = sample_constrained(cov, state.variance, rng)
-    return np.sqrt(1.0 - beta**2) * state.merits + beta * noise
-
-
-def mh_accept(loglik_new: float, loglik_old: float, rng: np.random.Generator) -> bool:
-    """Accept with probability min(1, exp(loglik_new - loglik_old)).
-
-    The prior cancels out of the preconditioned Crank-Nicolson ratio, so only
-    the likelihood difference enters.  A uniform is consumed on every call.
-    """
-    return bool(np.log(rng.random()) < loglik_new - loglik_old)
+def _gibbs_shape(prior_shape: float, cov: ConstrainedCovariance, m: int, rank_adjusted: bool) -> float:
+    return prior_shape + 0.5 * (cov.rank if rank_adjusted else m)
 
 
 def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -> ChainSamples:
@@ -136,60 +118,71 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     (unless pinned) and then makes one preconditioned Crank-Nicolson move on
     the merits.  The chain starts from zero merits and unit variance; draws
     are recorded after ``config.burn_in`` iterations, every ``config.thin``-th
-    proposal.  All randomness comes from a single generator seeded with
-    ``config.seed``.
+    proposal.
+
+    The state is kept in whitened coordinates ``u`` in R^rank, with
+    ``merits = cov.factor @ u``.  Since ``factor' pinv factor`` is the
+    identity, the Gibbs scale ``prior_scale + merits' pinv merits`` is
+    ``prior_scale + u @ u``, and the proposal is ``sqrt(1 - beta^2) u +
+    beta sqrt(variance) z`` for standard normal ``z``.  All randomness comes
+    from a single generator seeded with ``config.seed``, drawn ``BLOCK``
+    iterations at a time: first the normals, then the standard-gamma
+    variates of the Gibbs step (whose shape is constant), then the
+    acceptance uniforms.  A seed therefore reproduces its chain exactly, but
+    gives a different (equally valid) chain than versions before block draws.
     """
     if w.m != cov.m:
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
 
     rng = np.random.default_rng(config.seed)
     flat = not w.wins.any()
-    contraction = np.sqrt(1.0 - config.beta**2)
+    contraction = math.sqrt(1.0 - config.beta**2)
+    fixed = config.fix_variance is not None
+    shape = _gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
+    burn_in, thin = config.burn_in, config.thin
 
-    state = ChainState(
-        merits=np.zeros(w.m),
-        variance=1.0 if config.fix_variance is None else float(config.fix_variance),
-        loglik=0.0 if flat else log_likelihood(np.zeros(w.m), w),
-    )
+    u = np.zeros(cov.rank)
+    merits = np.zeros(w.m)
+    variance = float(config.fix_variance) if fixed else 1.0
+    loglik = 0.0 if flat else log_likelihood(merits, w)
 
-    n_post = config.iterations - config.burn_in
-    n_kept = -(-n_post // config.thin)
+    n_post = config.iterations - burn_in
+    n_kept = -(-n_post // thin)
     merit_draws = np.empty((n_kept, w.m))
     variance_draws = np.empty(n_kept)
     accept_flags = np.zeros(n_post, dtype=bool)
-    accepted = 0
     kept = 0
 
-    for t in range(1, config.iterations + 1):
-        if config.fix_variance is None:
-            state.variance = gibbs_variance(
-                state.merits, cov, config.prior_shape, config.prior_scale, rng,
-                config.rank_adjusted_shape,
-            )
-        noise = sample_constrained(cov, state.variance, rng)
-        proposal = contraction * state.merits + config.beta * noise
-        loglik_new = 0.0 if flat else log_likelihood(proposal, w)
-        if not np.isfinite(loglik_new):
-            raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
-        accept = mh_accept(loglik_new, state.loglik, rng)
-        if accept:
-            state.merits = proposal
-            state.loglik = loglik_new
-
-        if t > config.burn_in:
-            offset = t - config.burn_in - 1
-            accept_flags[offset] = accept
+    for start in range(0, config.iterations, BLOCK):
+        size = min(BLOCK, config.iterations - start)
+        noise = config.beta * rng.standard_normal((size, cov.rank))
+        gammas = None if fixed else rng.standard_gamma(shape, size).tolist()
+        log_uniforms = np.log(rng.random(size)).tolist()
+        for k in range(size):
+            t = start + k + 1
+            if not fixed:
+                variance = (config.prior_scale + float(u @ u)) / gammas[k]
+            proposal = contraction * u + math.sqrt(variance) * noise[k]
+            proposal_merits = cov.factor @ proposal
+            loglik_new = 0.0 if flat else log_likelihood(proposal_merits, w)
+            if not math.isfinite(loglik_new):
+                raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
+            accept = log_uniforms[k] < loglik_new - loglik
             if accept:
-                accepted += 1
-            if offset % config.thin == 0:
-                merit_draws[kept] = state.merits
-                variance_draws[kept] = state.variance
-                kept += 1
+                u, merits, loglik = proposal, proposal_merits, loglik_new
+
+            if t > burn_in:
+                offset = t - burn_in - 1
+                accept_flags[offset] = accept
+                if offset % thin == 0:
+                    merit_draws[kept] = merits
+                    variance_draws[kept] = variance
+                    kept += 1
 
     return ChainSamples(
         merit_draws=merit_draws,
         variance_draws=variance_draws,
-        accepted=accepted,
+        accepted=int(accept_flags.sum()),
         proposed=n_post,
         accept_flags=accept_flags,
         config=config,

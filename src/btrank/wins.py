@@ -4,12 +4,29 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import IndicatorTable
 
 TIE_POLICIES = ("split", "drop")
+
+
+class PairList(NamedTuple):
+    """The compared pairs ``i[k] < j[k]`` of a win matrix.
+
+    ``counts[k]`` is the number of contests between the pair.  ``score[e]``
+    adds ``wins[j, i]`` over the pairs where ``e`` is ``j`` and subtracts it
+    over the pairs where ``e`` is ``i``, so that ``score @ merits`` equals
+    ``sum_k wins[j, i] * (merits[j] - merits[i])``.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    counts: np.ndarray
+    score: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,6 +61,14 @@ class WinMatrix:
     @property
     def m(self) -> int:
         return len(self.entities)
+
+    @cached_property
+    def pairs(self) -> PairList:
+        """Pairs with at least one contest, built on first use and kept."""
+        i, j = np.nonzero(np.triu(self.comparisons > 0, 1))
+        later_wins = self.wins[j, i]
+        score = np.bincount(j, later_wins, self.m) - np.bincount(i, later_wins, self.m)
+        return PairList(i, j, self.comparisons[i, j].astype(float), score)
 
 
 def build_win_matrix(table: IndicatorTable, tie_policy: str = "split") -> WinMatrix:

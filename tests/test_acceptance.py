@@ -1,9 +1,9 @@
 """Acceptance gate: one test per release criterion, each printing a PASS/FAIL line.
 
-Criterion 8's full profile (3 million iterations, about four minutes: 218 s
-on a 2-core x86-64 machine with Python 3.11 and numpy 2.4) only runs when the
-environment variable BTRANK_FULL_RUN=1 is set; the default is a
-hundred-thousand-iteration smoke profile of the same pipeline.
+Criterion 8's full profile (3 million iterations, about two and a half
+minutes: 148 s on a 2-core x86-64 machine with Python 3.11 and numpy 2.4)
+only runs when the environment variable BTRANK_FULL_RUN=1 is set; the
+default is a hundred-thousand-iteration smoke profile of the same pipeline.
 """
 
 from __future__ import annotations

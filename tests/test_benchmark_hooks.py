@@ -1,0 +1,54 @@
+"""The benchmark's tracer finds every function it times.
+
+``benchmarks/tracer.py`` wraps module attributes that the CLI, the study loop
+and ``diagnose`` look up at call time, and reads results through names such
+as ``mcmc.run_chain``.  A refactor that moved or renamed one of them would
+not fail the benchmark: the metric built on it would quietly read 0.  These
+tests read the tracer as it is and check its contract against the package.
+"""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # executed from its source, so no bytecode cache is written next to it
+    module = types.ModuleType("btrank_bench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def hooked(tracer):
+    for module_name, attrs in tracer.HOOKS.items():
+        module = importlib.import_module(module_name)
+        for attr in attrs:
+            yield module_name, attr, getattr(module, attr, None)
+
+
+def test_every_hooked_attribute_exists(tracer):
+    missing = [f"{name}.{attr}" for name, attr, func in hooked(tracer) if func is None]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module_name", ["btrank.cli", "btrank.sim"])
+def test_chains_run_through_the_sampler_entry_point(module_name):
+    func = importlib.import_module(module_name).run_chain
+    assert (func.__module__, func.__name__) == ("btrank.mcmc", "run_chain")
+
+
+def test_every_observed_result_has_a_hook(tracer):
+    # the tracer names a span after the wrapped function's own module and name
+    names = {
+        f"{func.__module__.rsplit('.', 1)[-1]}.{func.__name__}"
+        for _, _, func in hooked(tracer)
+        if func is not None
+    }
+    assert set(tracer.OBSERVE) <= names

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from btrank import WinMatrix, build_win_matrix, log_likelihood, mle_newman, win_probability
+from btrank import (
+    WinMatrix,
+    apply_missing_policy,
+    build_win_matrix,
+    log_likelihood,
+    mle_newman,
+    win_probability,
+)
 
 from .conftest import make_table
 
@@ -69,6 +76,44 @@ class TestLogLikelihood:
         batched = log_likelihood(draws, toy_wins)
         assert batched.shape == (1300,)
         assert np.array_equal(batched, [log_likelihood(row, toy_wins) for row in draws])
+
+
+def dense_log_likelihood(merits, w):
+    """The likelihood summed over every ordered cell, the form the pair list replaces."""
+    diff = merits[..., None, :] - merits[..., :, None]
+    return -np.sum(w.wins * np.logaddexp(0.0, diff), axis=(-2, -1))
+
+
+class TestPairListOracle:
+    """The pair-list likelihood against the dense ordered-cell sum."""
+
+    def check(self, w, seed):
+        draws = np.random.default_rng(seed).normal(scale=1.5, size=(700, w.m))
+        for merits in draws[:5]:
+            np.testing.assert_allclose(
+                log_likelihood(merits, w), dense_log_likelihood(merits, w), rtol=1e-9
+            )
+        np.testing.assert_allclose(
+            log_likelihood(draws, w), dense_log_likelihood(draws, w), rtol=1e-9
+        )
+
+    def test_bundled_win_matrix(self, fixture_dataset):
+        table, _ = fixture_dataset
+        self.check(build_win_matrix(apply_missing_policy(table, "drop_indicators")), seed=1)
+
+    def test_half_wins_and_an_uncompared_pair(self):
+        wins = np.array(
+            [
+                [0.0, 2.5, 0.0, 1.0],
+                [1.5, 0.0, 3.0, 0.5],
+                [0.0, 1.0, 0.0, 2.0],
+                [3.0, 0.5, 2.0, 0.0],
+            ]
+        )
+        w = wins_matrix(wins)
+        assert w.comparisons[0, 2] == 0
+        assert len(w.pairs.i) == 5  # the uncompared pair (0, 2) is left out
+        self.check(w, seed=2)
 
 
 class TestMleNewman:

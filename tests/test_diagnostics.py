@@ -194,6 +194,10 @@ class TestUnivariateEss:
     def test_constant_series_counts_as_independent(self):
         assert univariate_ess(np.full(500, 3.25)) == 500.0
 
+    def test_constant_that_centering_does_not_cancel_counts_as_independent(self):
+        # x - x.mean() leaves a tiny residue for 0.3, which once read as perfect correlation
+        assert univariate_ess(np.full(1000, 0.3)) == 1000.0
+
     def test_alternating_series_hits_the_cap(self):
         assert univariate_ess(np.tile([1.0, -1.0], 500)) == 1.5 * 1000
 
@@ -306,6 +310,13 @@ class TestTraceExport:
         _, acf_rows = trace_export(self.samples, params="merit0", bandwidth=5)
         assert [row[0] for row in acf_rows] == list(range(6))
         assert acf_rows[0][2] == 1.0
+
+    def test_pinned_variance_acf_is_an_impulse(self, toy_wins, toy_prior):
+        config = SamplerConfig(beta=0.2, iterations=1500, burn_in=500, seed=8, fix_variance=0.3)
+        samples = run_chain(toy_wins, toy_prior, config)
+        _, acf_rows = trace_export(samples, params="variance")
+        assert [row[2] for row in acf_rows] == [1.0] + [0.0] * (len(acf_rows) - 1)
+        assert len(acf_rows) == default_bandwidth(1000) + 1
 
     def test_quad_form_and_loglik_need_their_inputs(self):
         with pytest.raises(ValueError, match="quad_form"):

@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from btrank import (
     ChainSamples,
-    ChainState,
     KernelSpec,
     SamplerConfig,
     WinMatrix,
     build_prior,
     gibbs_variance,
     load_chain,
-    mh_accept,
-    pcn_propose,
     posterior_mean,
     run_chain,
     sample_constrained,
     save_chain,
 )
-from btrank.mcmc import read_chain_metadata
+from btrank import mcmc
+from btrank.mcmc import BLOCK, read_chain_metadata
 
 from .conftest import make_income
 
@@ -105,43 +105,6 @@ class TestGibbsVariance:
         assert min(draws) > 0
 
 
-class TestPcnPropose:
-    def test_proposal_stays_on_the_constraint(self, toy_prior):
-        state = ChainState(
-            merits=sample_constrained(toy_prior, 1.0, np.random.default_rng(1)),
-            variance=2.0,
-            loglik=0.0,
-        )
-        proposal = pcn_propose(state, toy_prior, 0.3, np.random.default_rng(2))
-        assert abs(proposal.sum()) < 1e-10
-
-    def test_blends_current_state_with_fresh_noise(self, toy_prior):
-        merits = sample_constrained(toy_prior, 1.0, np.random.default_rng(1))
-        state = ChainState(merits=merits, variance=2.0, loglik=0.0)
-        proposal = pcn_propose(state, toy_prior, 0.3, np.random.default_rng(5))
-        noise = sample_constrained(toy_prior, 2.0, np.random.default_rng(5))
-        np.testing.assert_allclose(proposal, np.sqrt(1 - 0.09) * merits + 0.3 * noise)
-
-
-class TestMhAccept:
-    def test_uphill_moves_always_accepted(self):
-        rng = np.random.default_rng(0)
-        assert all(mh_accept(0.0, -5.0, rng) for _ in range(100))
-
-    def test_downhill_acceptance_frequency(self):
-        rng = np.random.default_rng(3)
-        target = 0.3
-        hits = sum(mh_accept(np.log(target), 0.0, rng) for _ in range(20_000))
-        assert abs(hits / 20_000 - target) < 0.01
-
-    def test_consumes_one_uniform_per_call(self):
-        a = np.random.default_rng(9)
-        b = np.random.default_rng(9)
-        mh_accept(1.0, 0.0, a)  # uphill, but the uniform must still be drawn
-        b.random()
-        assert a.random() == b.random()
-
-
 class TestRunChain:
     def test_dimension_mismatch_is_rejected(self, toy_prior):
         with pytest.raises(ValueError, match="3 entities"):
@@ -206,6 +169,66 @@ class TestRunChain:
         target_cov = target_var * cov.projected
         err = np.linalg.norm(np.cov(samples.merit_draws.T) - target_cov)
         assert err / np.linalg.norm(target_cov) < 0.12
+
+
+class TestWhitenedKernel:
+    """The chain keeps u with merits = factor @ u and draws its randomness BLOCK iterations at a time."""
+
+    def test_gibbs_scale_is_the_merit_quadratic_form(self, toy_wins, toy_prior):
+        # u @ u must equal merits' pinv merits: rebuild each Gibbs scale from the
+        # chain's own gamma variates (the draws after the block's normals)
+        # and the merits the variance was drawn at
+        config = SamplerConfig(beta=0.3, iterations=600, burn_in=0, seed=21,
+                               prior_shape=3.0, prior_scale=0.5)
+        samples = run_chain(toy_wins, toy_prior, config)
+        rng = np.random.default_rng(config.seed)
+        rng.standard_normal((config.iterations, toy_prior.rank))
+        gammas = rng.standard_gamma(3.0 + 0.5 * toy_wins.m, config.iterations)
+        merits = np.vstack([np.zeros(toy_wins.m), samples.merit_draws[:-1]])
+        quad = np.einsum("ni,ij,nj->n", merits, toy_prior.pinv, merits)
+        assert quad.max() > 1.0  # the quadratic form is not swamped by prior_scale
+        np.testing.assert_allclose(samples.variance_draws * gammas, 0.5 + quad, rtol=1e-10)
+
+    @pytest.mark.parametrize("iterations", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_bookkeeping_across_a_block_edge(self, toy_wins, toy_prior, iterations):
+        # with burn-in BLOCK - 6 and thin 3, iteration BLOCK + 1 (the first of
+        # the second block) is a kept draw
+        config = SamplerConfig(beta=0.2, iterations=iterations, burn_in=BLOCK - 6, thin=3, seed=5)
+        a = run_chain(toy_wins, toy_prior, config)
+        b = run_chain(toy_wins, toy_prior, config)
+        n_post = iterations - (BLOCK - 6)
+        assert a.proposed == n_post
+        assert a.accept_flags.shape == (n_post,)
+        assert a.n_kept == -(-n_post // 3)
+        assert a.accepted == int(a.accept_flags.sum())
+        for name in ("merit_draws", "variance_draws", "accept_flags"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        # burn-in and thinning only select from the stream, so they match an unthinned run
+        every = run_chain(toy_wins, toy_prior, dataclasses.replace(config, burn_in=0, thin=1))
+        np.testing.assert_array_equal(a.merit_draws, every.merit_draws[BLOCK - 6 :: 3])
+        np.testing.assert_array_equal(a.variance_draws, every.variance_draws[BLOCK - 6 :: 3])
+        np.testing.assert_array_equal(a.accept_flags, every.accept_flags[BLOCK - 6 :])
+
+    def test_a_new_block_leaves_the_earlier_draws_alone(self, toy_wins, toy_prior):
+        config = SamplerConfig(beta=0.2, iterations=BLOCK, burn_in=BLOCK - 6, thin=3, seed=5)
+        one = run_chain(toy_wins, toy_prior, config)
+        two = run_chain(toy_wins, toy_prior, dataclasses.replace(config, iterations=BLOCK + 1))
+        np.testing.assert_array_equal(two.merit_draws[: one.n_kept], one.merit_draws)
+        np.testing.assert_array_equal(two.accept_flags[: one.proposed], one.accept_flags)
+
+    def test_non_finite_log_likelihood_names_its_iteration(self, toy_wins, toy_prior, monkeypatch):
+        calls = []
+        real = mcmc.log_likelihood
+
+        def fails_late(merits, w):
+            calls.append(1)
+            # the first call evaluates the starting point, call k + 1 iteration k
+            return float("nan") if len(calls) == BLOCK + 5 else real(merits, w)
+
+        monkeypatch.setattr(mcmc, "log_likelihood", fails_late)
+        config = SamplerConfig(beta=0.2, iterations=2 * BLOCK, seed=3)
+        with pytest.raises(FloatingPointError, match=f"at iteration {BLOCK + 4}$"):
+            run_chain(toy_wins, toy_prior, config)
 
 
 class TestPosteriorMean:
