@@ -6,7 +6,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,6 @@ from .wins import build_win_matrix, export_win_matrix, total_comparisons
 
 # acceptance rates outside this band get a stderr warning (target is 20-30%)
 ACCEPT_BAND = (0.15, 0.45)
-
-_MISSING = object()
 
 
 def _parse_bool(raw: str) -> bool:
@@ -52,105 +52,65 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
-RUN_DEFAULTS = {
-    "indicators": None,
-    "polarity": None,
-    "income": None,
-    "out": "btrank_out",
-    "missing_policy": "drop_indicators",
-    "drop_entities": (),
-    "tie_policy": "split",
-    "zones": (),
-    "low_income_max": 100_000.0,
-    "middle_income_max": 200_000.0,
-    "kernel": "squared_exponential",
-    "length_scale": 0.09,
-    "mixture": 1.0,
-    "jitter": 1e-10,
-    "beta": 0.009,
-    "iterations": 3_000_000,
-    "burn_in": None,
-    "thin": 1,
-    "prior_shape": 2.0,
-    "prior_scale": 1.0,
-    "seed": 0,
-    "fix_variance": None,
-    "rank_adjusted_shape": False,
-    "threshold": 1e-8,
-    "bandwidth": None,
-    "window": None,
-    "level": 0.95,
-    "trace_params": "all",
-    "export_win_matrix": False,
-}
+class Option(NamedTuple):
+    """One option, declared once.
 
-RUN_COERCERS = {
-    "indicators": str,
-    "polarity": str,
-    "income": str,
-    "out": str,
-    "missing_policy": str,
-    "drop_entities": _csv_list,
-    "tie_policy": str,
-    "zones": _csv_list,
-    "low_income_max": float,
-    "middle_income_max": float,
-    "kernel": str,
-    "length_scale": float,
-    "mixture": float,
-    "jitter": float,
-    "beta": float,
-    "iterations": int,
-    "burn_in": _optional(int),
-    "thin": int,
-    "prior_shape": float,
-    "prior_scale": float,
-    "seed": int,
-    "fix_variance": _optional(float),
-    "rank_adjusted_shape": _parse_bool,
-    "threshold": float,
-    "bandwidth": _optional(int),
-    "window": _optional(int),
-    "level": float,
-    "trace_params": str,
-    "export_win_matrix": _parse_bool,
-}
+    ``run`` is its default for fit, mle and diagnose, which share one config
+    file format; ``sim`` is its default in a simulate spec file.  ``_UNUSED``
+    marks a family that does not read the key.  ``flags`` names the
+    subcommands that take it as ``--key-name``.  A non-empty ``switch`` makes
+    the flag take no value and mean True, with ``switch`` as its help text.
+    """
 
-SIM_DEFAULTS = {
-    "m": 10,
-    "k_comparisons": 100,
-    "kernel": "squared_exponential",
-    "length_scales": (0.5,),
-    "mixture": 1.0,
-    "prior_variance": 1.0,
-    "replications": 20,
-    "seed": 0,
-    "beta": 0.2,
-    "iterations": 100_000,
-    "burn_in": None,
-    "thin": 1,
-    "prior_shape": 2.0,
-    "prior_scale": 1.0,
-    "out": "btrank_out",
-}
+    key: str
+    parse: Callable[[str], object]
+    run: object
+    sim: object
+    flags: tuple[str, ...] = ()
+    switch: str = ""
 
-SIM_COERCERS = {
-    "m": int,
-    "k_comparisons": int,
-    "kernel": str,
-    "length_scales": _float_list,
-    "mixture": float,
-    "prior_variance": float,
-    "replications": int,
-    "seed": int,
-    "beta": float,
-    "iterations": int,
-    "burn_in": _optional(int),
-    "thin": int,
-    "prior_shape": float,
-    "prior_scale": float,
-    "out": str,
-}
+
+_UNUSED = object()
+_LOAD = ("fit", "mle")
+_DIAGNOSE = ("fit", "diagnose")
+
+OPTIONS = (
+    Option("indicators", str, None, _UNUSED, _LOAD),
+    Option("polarity", str, None, _UNUSED, _LOAD),
+    Option("income", str, None, _UNUSED, _LOAD),
+    Option("out", str, "btrank_out", "btrank_out", ("fit", "mle", "diagnose", "simulate")),
+    Option("missing_policy", str, "drop_indicators", _UNUSED, _LOAD),
+    Option("drop_entities", _csv_list, (), _UNUSED, _LOAD),
+    Option("tie_policy", str, "split", _UNUSED, _LOAD),
+    Option("zones", _csv_list, (), _UNUSED, _LOAD),
+    Option("low_income_max", float, 100_000.0, _UNUSED, _LOAD),
+    Option("middle_income_max", float, 200_000.0, _UNUSED, _LOAD),
+    Option("m", int, _UNUSED, 10),
+    Option("k_comparisons", int, _UNUSED, 100),
+    Option("kernel", str, "squared_exponential", "squared_exponential", ("fit",)),
+    Option("length_scale", float, 0.09, _UNUSED, ("fit",)),
+    Option("length_scales", _float_list, _UNUSED, (0.5,)),
+    Option("mixture", float, 1.0, 1.0, ("fit",)),
+    Option("jitter", float, 1e-10, _UNUSED, ("fit",)),
+    Option("prior_variance", float, _UNUSED, 1.0),
+    Option("replications", int, _UNUSED, 20),
+    Option("beta", float, 0.009, 0.2, ("fit", "simulate")),
+    Option("iterations", int, 3_000_000, 100_000, ("fit", "simulate")),
+    Option("burn_in", _optional(int), None, None, ("fit",)),
+    Option("thin", int, 1, 1, ("fit",)),
+    Option("prior_shape", float, 2.0, 2.0, ("fit",)),
+    Option("prior_scale", float, 1.0, 1.0, ("fit",)),
+    Option("seed", int, 0, 0, ("fit", "simulate")),
+    Option("fix_variance", _optional(float), None, _UNUSED, ("fit",)),
+    Option("rank_adjusted_shape", _parse_bool, False, _UNUSED, ("fit",)),
+    Option("threshold", float, 1e-8, _UNUSED, _DIAGNOSE),
+    Option("bandwidth", _optional(int), None, _UNUSED, _DIAGNOSE),
+    Option("window", _optional(int), None, _UNUSED, _DIAGNOSE),
+    Option("level", float, 0.95, _UNUSED, ("fit",)),
+    Option("trace_params", str, "all", _UNUSED, _DIAGNOSE),
+    Option("export_win_matrix", _parse_bool, False, _UNUSED, ("fit",),
+           switch="also write the counted wins as CSV"),
+)
 
 
 def read_config_file(path, coercers) -> dict:
@@ -167,6 +127,8 @@ def read_config_file(path, coercers) -> dict:
             key = key.strip()
             if key not in coercers:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+            if key in options:
+                raise ValueError(f"{path}:{lineno}: duplicate configuration key {key!r}")
             try:
                 options[key] = coercers[key](raw.strip())
             except ValueError as exc:
@@ -174,35 +136,26 @@ def read_config_file(path, coercers) -> dict:
     return options
 
 
-def _merged_options(args, defaults, coercers) -> dict:
-    options = dict(defaults)
-    if getattr(args, "config", None):
-        options.update(read_config_file(args.config, coercers))
-    for key in defaults:
-        value = getattr(args, key, _MISSING)
-        if value is not _MISSING and value is not None:
-            options[key] = value
+def _merged_options(args, family, path) -> dict:
+    """The family's defaults, overridden by the file at ``path``, then by the flags given."""
+    read = [opt for opt in OPTIONS if getattr(opt, family) is not _UNUSED]
+    options = {opt.key: getattr(opt, family) for opt in read}
+    if path:
+        options.update(read_config_file(path, {opt.key: opt.parse for opt in read}))
+    # absent flags are suppressed, so a flag given as "none" still overrides
+    options.update((key, value) for key, value in vars(args).items() if key in options)
     return options
 
 
-def _kernel_spec(options) -> KernelSpec:
+def _from_options(cls, options, **given):
+    """Build a config dataclass from ``given`` and the options named like its other fields."""
+    names = {field.name for field in fields(cls)} - given.keys()
+    return cls(**{key: value for key, value in options.items() if key in names}, **given)
+
+
+def _kernel_spec(options, length_scale) -> KernelSpec:
     mixture = options["mixture"] if options["kernel"] == RATIONAL_QUADRATIC else None
-    return KernelSpec(options["kernel"], options["length_scale"], mixture)
-
-
-def _sampler_config(options, kernel) -> SamplerConfig:
-    return SamplerConfig(
-        beta=options["beta"],
-        iterations=options["iterations"],
-        burn_in=options["burn_in"],
-        thin=options["thin"],
-        prior_shape=options["prior_shape"],
-        prior_scale=options["prior_scale"],
-        seed=options["seed"],
-        kernel=kernel,
-        fix_variance=options.get("fix_variance"),
-        rank_adjusted_shape=options.get("rank_adjusted_shape", False),
-    )
+    return KernelSpec(options["kernel"], length_scale, mixture)
 
 
 def _load_tables(options):
@@ -287,12 +240,12 @@ def _preview(report) -> list[str]:
 
 
 def cmd_fit(args) -> int:
-    options = _merged_options(args, RUN_DEFAULTS, RUN_COERCERS)
+    options = _merged_options(args, "run", args.config)
     table, income = _load_tables(options)
     w = build_win_matrix(table, options["tie_policy"])
-    kernel = _kernel_spec(options)
+    kernel = _kernel_spec(options, options["length_scale"])
     cov = build_prior(income, kernel, jitter=options["jitter"])
-    config = _sampler_config(options, kernel)
+    config = _from_options(SamplerConfig, options, kernel=kernel)
 
     print(
         f"fit: {w.m} entities, {table.k} indicators, {total_comparisons(w)} comparisons; "
@@ -336,7 +289,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mle(args) -> int:
-    options = _merged_options(args, RUN_DEFAULTS, RUN_COERCERS)
+    options = _merged_options(args, "run", args.config)
     table, income = _load_tables(options)
     w = build_win_matrix(table, options["tie_policy"])
     merits = mle_newman(w)
@@ -357,7 +310,7 @@ def cmd_mle(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    options = _merged_options(args, RUN_DEFAULTS, RUN_COERCERS)
+    options = _merged_options(args, "run", args.config)
     samples = load_chain(args.chain)
     extra = read_chain_metadata(args.chain)
     flags = {"jitter_applied": extra["jitter_applied"]} if "jitter_applied" in extra else {}
@@ -372,34 +325,11 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    options = dict(SIM_DEFAULTS)
-    options.update(read_config_file(args.spec, SIM_COERCERS))
-    for key in ("seed", "iterations", "beta", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-
-    mixture = options["mixture"] if options["kernel"] == RATIONAL_QUADRATIC else None
-    base_scale = options["length_scales"][0] if options["length_scales"] else 0.5
-    kernel = KernelSpec(options["kernel"], base_scale, mixture)
-    spec = SimStudySpec(
-        m=options["m"],
-        k_comparisons=options["k_comparisons"],
-        kernel=kernel,
-        length_scales=tuple(options["length_scales"]),
-        prior_variance=options["prior_variance"],
-        replications=options["replications"],
-        seed=options["seed"],
-    )
-    sampler = SamplerConfig(
-        beta=options["beta"],
-        iterations=options["iterations"],
-        burn_in=options["burn_in"],
-        thin=options["thin"],
-        prior_shape=options["prior_shape"],
-        prior_scale=options["prior_scale"],
-        kernel=kernel,
-    )
+    options = _merged_options(args, "sim", args.spec)
+    scales = options["length_scales"]
+    kernel = _kernel_spec(options, scales[0] if scales else 0.5)
+    spec = _from_options(SimStudySpec, options, kernel=kernel)
+    sampler = _from_options(SamplerConfig, options, kernel=kernel)
     rows = run_recovery_study(spec, sampler)
     out = _out_dir(options)
     write_study_csv(rows, out / "study.csv")
@@ -418,47 +348,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_option(parser, key, coercers, help_text="", flag=None):
-    flag = flag or "--" + key.replace("_", "-")
-    parser.add_argument(flag, dest=key, type=coercers[key], default=None, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="btrank", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    fit = commands.add_parser("fit", help="sample the posterior and rank")
-    mle = commands.add_parser("mle", help="likelihood-only ranking")
-    for sub in (fit, mle):
-        sub.add_argument("--config", help="flat key = value configuration file")
-        for key in ("indicators", "polarity", "income", "out", "missing_policy",
-                    "drop_entities", "tie_policy", "zones", "low_income_max",
-                    "middle_income_max"):
-            _add_option(sub, key, RUN_COERCERS)
-    for key in ("kernel", "length_scale", "mixture", "jitter", "beta", "iterations",
-                "burn_in", "thin", "prior_shape", "prior_scale", "seed", "fix_variance",
-                "rank_adjusted_shape", "threshold", "bandwidth", "window", "level",
-                "trace_params"):
-        _add_option(fit, key, RUN_COERCERS)
-    fit.add_argument(
-        "--export-win-matrix", dest="export_win_matrix", action="store_const", const=True,
-        default=None, help="also write the counted wins as CSV",
-    )
-    fit.set_defaults(func=cmd_fit)
-    mle.set_defaults(func=cmd_mle)
-
-    diag = commands.add_parser("diagnose", help="recompute diagnostics from a saved chain")
-    diag.add_argument("chain", help="chain dump written by fit")
-    diag.add_argument("--config", help="flat key = value configuration file")
-    for key in ("out", "threshold", "bandwidth", "window", "trace_params"):
-        _add_option(diag, key, RUN_COERCERS)
-    diag.set_defaults(func=cmd_diagnose)
-
-    sim = commands.add_parser("simulate", help="synthetic merit recovery study")
-    sim.add_argument("spec", help="study design as a flat key = value file")
-    for key in ("seed", "iterations", "beta", "out"):
-        _add_option(sim, key, SIM_COERCERS)
-    sim.set_defaults(func=cmd_simulate)
+    subs = {}
+    for name, func, text in (
+        ("fit", cmd_fit, "sample the posterior and rank"),
+        ("mle", cmd_mle, "likelihood-only ranking"),
+        ("diagnose", cmd_diagnose, "recompute diagnostics from a saved chain"),
+        ("simulate", cmd_simulate, "synthetic merit recovery study"),
+    ):
+        subs[name] = commands.add_parser(name, help=text)
+        subs[name].set_defaults(func=func)
+    subs["diagnose"].add_argument("chain", help="chain dump written by fit")
+    subs["simulate"].add_argument("spec", help="study design as a flat key = value file")
+    for name in ("fit", "mle", "diagnose"):
+        subs[name].add_argument("--config", help="flat key = value configuration file")
+    for opt in OPTIONS:
+        if opt.switch:
+            kind = {"action": "store_true", "help": opt.switch}
+        else:
+            kind = {"type": opt.parse}
+        for name in opt.flags:
+            subs[name].add_argument(
+                "--" + opt.key.replace("_", "-"), dest=opt.key, default=argparse.SUPPRESS, **kind
+            )
     return parser
 
 

@@ -63,6 +63,23 @@ class IndicatorTable:
     def k(self) -> int:
         return len(self.indicators)
 
+    def take(self, rows, cols=None) -> IndicatorTable:
+        """The table of the given entity rows and indicator columns, in the order given.
+
+        ``rows`` and ``cols`` are integer positions; ``cols=None`` keeps every
+        indicator.  The result is validated like any other table.
+        """
+        rows = np.asarray(rows, dtype=int)
+        cols = np.arange(self.k) if cols is None else np.asarray(cols, dtype=int)
+        cells = np.ix_(rows, cols)
+        return IndicatorTable(
+            entities=tuple(self.entities[i] for i in rows),
+            indicators=tuple(self.indicators[k] for k in cols),
+            values=self.values[cells],
+            polarity=self.polarity[cols],
+            missing=self.missing[cells],
+        )
+
 
 @dataclass(frozen=True)
 class IncomeTable:
@@ -90,6 +107,15 @@ class IncomeTable:
     @property
     def m(self) -> int:
         return len(self.entities)
+
+    def take(self, rows) -> IncomeTable:
+        """The table of the given entity rows (integer positions), in the order given."""
+        rows = np.asarray(rows, dtype=int)
+        return IncomeTable(
+            entities=tuple(self.entities[i] for i in rows),
+            income=self.income[rows],
+            zone=tuple(self.zone[i] for i in rows),
+        )
 
 
 def _parse_number(text: str) -> float | None:
@@ -239,21 +265,7 @@ def align_entities(table: IndicatorTable, income: IncomeTable) -> tuple[Indicato
     wanted = set(income.entities)
     keep = [i for i, name in enumerate(table.entities) if name in wanted]
     order = {name: i for i, name in enumerate(income.entities)}
-    idx = np.array([order[table.entities[i]] for i in keep], dtype=int)
-
-    aligned_table = IndicatorTable(
-        entities=tuple(table.entities[i] for i in keep),
-        indicators=table.indicators,
-        values=table.values[keep],
-        polarity=table.polarity,
-        missing=table.missing[keep],
-    )
-    aligned_income = IncomeTable(
-        entities=tuple(income.entities[i] for i in idx),
-        income=income.income[idx],
-        zone=tuple(income.zone[i] for i in idx),
-    )
-    return aligned_table, aligned_income
+    return table.take(keep), income.take([order[table.entities[i]] for i in keep])
 
 
 def apply_missing_policy(table: IndicatorTable, policy: str, drop=()) -> IndicatorTable:
@@ -266,31 +278,21 @@ def apply_missing_policy(table: IndicatorTable, policy: str, drop=()) -> Indicat
     if policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing policy {policy!r}; expected one of {MISSING_POLICIES}")
 
-    values, missing = table.values, table.missing
-    entities = table.entities
+    keep_rows = np.arange(table.m)
     if policy == "drop_entities":
-        unknown = [name for name in drop if name not in entities]
+        unknown = [name for name in drop if name not in table.entities]
         if unknown:
             raise ValueError(f"cannot drop unknown entities: {', '.join(unknown)}")
-        keep_rows = [i for i, name in enumerate(entities) if name not in set(drop)]
+        keep_rows = [i for i, name in enumerate(table.entities) if name not in set(drop)]
         if len(keep_rows) < 2:
             raise ValueError("dropping those entities leaves fewer than 2")
-        entities = tuple(entities[i] for i in keep_rows)
-        values = values[keep_rows]
-        missing = missing[keep_rows]
     elif drop:
         raise ValueError("entity drop list is only valid with the drop_entities policy")
 
-    keep_cols = ~missing.any(axis=0)
+    keep_cols = ~table.missing[keep_rows].any(axis=0)
     if not keep_cols.any():
         raise ValueError("missing policy leaves no complete indicators")
-    return IndicatorTable(
-        entities=entities,
-        indicators=tuple(name for name, k in zip(table.indicators, keep_cols) if k),
-        values=values[:, keep_cols],
-        polarity=table.polarity[keep_cols],
-        missing=missing[:, keep_cols],
-    )
+    return table.take(keep_rows, np.flatnonzero(keep_cols))
 
 
 def income_for_entities(income: IncomeTable, entities) -> IncomeTable:
@@ -299,12 +301,7 @@ def income_for_entities(income: IncomeTable, entities) -> IncomeTable:
     absent = [name for name in entities if name not in positions]
     if absent:
         raise ValueError(f"no income recorded for: {', '.join(absent)}")
-    idx = np.array([positions[name] for name in entities], dtype=int)
-    return IncomeTable(
-        entities=tuple(entities),
-        income=income.income[idx],
-        zone=tuple(income.zone[i] for i in idx),
-    )
+    return income.take([positions[name] for name in entities])
 
 
 def subset_by_zone(table: IndicatorTable, income: IncomeTable, zones) -> tuple[IndicatorTable, IncomeTable]:
@@ -320,19 +317,7 @@ def subset_by_zone(table: IndicatorTable, income: IncomeTable, zones) -> tuple[I
     keep = [i for i, label in enumerate(income.zone) if label in set(zones)]
     if len(keep) < 2:
         raise ValueError(f"zone subset {zones} leaves fewer than 2 entities")
-    subset_table = IndicatorTable(
-        entities=tuple(table.entities[i] for i in keep),
-        indicators=table.indicators,
-        values=table.values[keep],
-        polarity=table.polarity,
-        missing=table.missing[keep],
-    )
-    subset_income = IncomeTable(
-        entities=tuple(income.entities[i] for i in keep),
-        income=income.income[keep],
-        zone=tuple(income.zone[i] for i in keep),
-    )
-    return subset_table, subset_income
+    return table.take(keep), income.take(keep)
 
 
 def load_dataset(indicators_path, polarity_path, income_path, *,

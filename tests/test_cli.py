@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import shutil
@@ -13,7 +14,7 @@ from importlib.metadata import EntryPoint
 import pytest
 
 from btrank import load_chain
-from btrank.cli import main
+from btrank.cli import _merged_options, build_parser, main
 
 from .conftest import DATA_DIR
 
@@ -92,6 +93,28 @@ class TestFit:
         assert samples.config.iterations == 900  # flag beats config
         assert samples.config.beta == 0.05  # config beats default
         assert samples.config.seed == 3
+
+    def test_none_flags_override_config_values(self, tmp_path):
+        config = tmp_path / "fit.conf"
+        config.write_text(
+            "iterations = 600\n"
+            "beta = 0.05\n"
+            "burn_in = 100\n"
+            "fix_variance = 0.5\n"
+            f"indicators = {DATA_DIR / 'indicators.csv'}\n"
+            f"polarity = {DATA_DIR / 'polarity.csv'}\n"
+            f"income = {DATA_DIR / 'income.csv'}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "run"
+        code = main([
+            "fit", "--config", str(config), "--out", str(out),
+            "--burn-in", "none", "--fix-variance", "none",
+        ])
+        assert code == 0
+        samples = load_chain(out / "chain.npz")
+        assert samples.config.burn_in == 600 // 3
+        assert samples.config.fix_variance is None
 
     def test_zone_subset_restricts_the_entities(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -221,10 +244,137 @@ class TestFailureModes:
         assert code == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_duplicate_config_key_reports_its_line(self, tmp_path, capsys):
+        config = tmp_path / "fit.conf"
+        config.write_text("beta = 0.1\nseed = 2\n\nbeta = 0.2\n", encoding="utf-8")
+        code = main(["fit", "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{config}:4: duplicate configuration key 'beta'" in err
+
+    def test_duplicate_spec_key_reports_its_line(self, tmp_path, capsys):
+        spec = tmp_path / "study.conf"
+        spec.write_text("m = 4\n# design\nreplications = 2\nm = 5\n", encoding="utf-8")
+        code = main(["simulate", str(spec), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{spec}:4: duplicate configuration key 'm'" in err
+
     def test_usage_errors_share_the_validation_exit_code(self, capsys):
         assert main(["fit", "--no-such-flag"]) == 1
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+# The command-line surface, written out: each subcommand's flags, and the
+# keys and defaults of the fit/mle/diagnose config file and the simulate spec.
+LOAD_FLAGS = {
+    "--config", "--indicators", "--polarity", "--income", "--out", "--missing-policy",
+    "--drop-entities", "--tie-policy", "--zones", "--low-income-max", "--middle-income-max",
+}
+FLAGS = {
+    "fit": LOAD_FLAGS | {
+        "--kernel", "--length-scale", "--mixture", "--jitter", "--beta", "--iterations",
+        "--burn-in", "--thin", "--prior-shape", "--prior-scale", "--seed", "--fix-variance",
+        "--rank-adjusted-shape", "--threshold", "--bandwidth", "--window", "--level",
+        "--trace-params", "--export-win-matrix",
+    },
+    "mle": LOAD_FLAGS,
+    "diagnose": {"--config", "--out", "--threshold", "--bandwidth", "--window", "--trace-params"},
+    "simulate": {"--seed", "--iterations", "--beta", "--out"},
+}
+RUN_DEFAULTS = {
+    "indicators": None,
+    "polarity": None,
+    "income": None,
+    "out": "btrank_out",
+    "missing_policy": "drop_indicators",
+    "drop_entities": (),
+    "tie_policy": "split",
+    "zones": (),
+    "low_income_max": 100_000.0,
+    "middle_income_max": 200_000.0,
+    "kernel": "squared_exponential",
+    "length_scale": 0.09,
+    "mixture": 1.0,
+    "jitter": 1e-10,
+    "beta": 0.009,
+    "iterations": 3_000_000,
+    "burn_in": None,
+    "thin": 1,
+    "prior_shape": 2.0,
+    "prior_scale": 1.0,
+    "seed": 0,
+    "fix_variance": None,
+    "rank_adjusted_shape": False,
+    "threshold": 1e-8,
+    "bandwidth": None,
+    "window": None,
+    "level": 0.95,
+    "trace_params": "all",
+    "export_win_matrix": False,
+}
+SIM_DEFAULTS = {
+    "m": 10,
+    "k_comparisons": 100,
+    "kernel": "squared_exponential",
+    "length_scales": (0.5,),
+    "mixture": 1.0,
+    "prior_variance": 1.0,
+    "replications": 20,
+    "seed": 0,
+    "beta": 0.2,
+    "iterations": 100_000,
+    "burn_in": None,
+    "thin": 1,
+    "prior_shape": 2.0,
+    "prior_scale": 1.0,
+    "out": "btrank_out",
+}
+FAMILIES = [
+    (["fit"], "run", RUN_DEFAULTS),
+    (["mle"], "run", RUN_DEFAULTS),
+    (["diagnose", "chain.npz"], "run", RUN_DEFAULTS),
+    (["simulate", "study.cfg"], "sim", SIM_DEFAULTS),
+]
+
+
+def config_text(options) -> str:
+    def raw(value):
+        if isinstance(value, tuple):
+            return ", ".join(str(item) for item in value)
+        return "none" if value is None else str(value)
+
+    return "".join(f"{key} = {raw(value)}\n" for key, value in options.items())
+
+
+class TestSurface:
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert found == FLAGS
+
+    @pytest.mark.parametrize("argv, family, defaults", FAMILIES)
+    def test_no_file_and_no_flags_give_the_family_defaults(self, argv, family, defaults):
+        assert _merged_options(build_parser().parse_args(argv), family, None) == defaults
+
+    @pytest.mark.parametrize("argv, family, defaults", FAMILIES)
+    def test_a_file_takes_exactly_the_family_keys(self, tmp_path, argv, family, defaults):
+        args = build_parser().parse_args(argv)
+        every = tmp_path / "every.cfg"
+        every.write_text(config_text(defaults), encoding="utf-8")
+        assert set(_merged_options(args, family, every)) == set(defaults)
+        for key in (set(RUN_DEFAULTS) | set(SIM_DEFAULTS)) - set(defaults):
+            foreign = tmp_path / f"{key}.cfg"
+            foreign.write_text(f"{key} = 1\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"unknown configuration key '{key}'"):
+                _merged_options(args, family, foreign)
 
 
 class TestEntryPoints:

@@ -216,6 +216,42 @@ class TestSubsetByZone:
             subset_by_zone(table, aligned, ("coastal",))
 
 
+class TestTake:
+    def test_rows_and_columns_come_back_in_the_order_given(self):
+        table = make_table(m=5, k=6, missing_cells=[(3, 4)])
+        sub = table.take([3, 0, 4], [5, 4, 0])
+        assert sub.entities == ("ent03", "ent00", "ent04")
+        assert sub.indicators == ("ind05", "ind04", "ind00")
+        np.testing.assert_array_equal(sub.values, table.values[[3, 0, 4]][:, [5, 4, 0]])
+        np.testing.assert_array_equal(sub.missing[0], [False, True, False])
+
+    def test_polarity_follows_the_columns(self):
+        table = make_table(m=3, k=6)
+        assert table.polarity.tolist() == [-1, 1, 1, -1, 1, 1]
+        assert table.take([0, 1], [3, 1, 2]).polarity.tolist() == [-1, 1, 1]
+        whole = table.take([2, 1])
+        assert whole.indicators == table.indicators
+        np.testing.assert_array_equal(whole.polarity, table.polarity)
+
+    def test_leaving_one_entity_is_rejected(self):
+        table = make_table(m=4)
+        with pytest.raises(ValueError, match="need at least 2 entities, got 1"):
+            table.take([2])
+
+    def test_income_rows_come_back_in_the_order_given(self):
+        income = IncomeTable(
+            entities=("a", "b", "c"),
+            income=np.array([1e5, 2e5, 3e5]),
+            zone=("low", "middle", "high"),
+        )
+        sub = income.take([2, 0])
+        assert sub.entities == ("c", "a")
+        assert sub.income.tolist() == [3e5, 1e5]
+        assert sub.zone == ("high", "low")
+        with pytest.raises(ValueError, match="income table is empty"):
+            income.take([])
+
+
 class TestTableValidation:
     def test_indicator_table_rejects_bad_polarity(self):
         with pytest.raises(ValueError, match="polarity"):
