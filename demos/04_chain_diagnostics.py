@@ -82,9 +82,9 @@ series = rank_stability_series(samples, window=4000)
 print("rank stability (kept draws, distance):", series)
 
 # autocorrelation tables are exportable for plotting elsewhere
-_, acf_rows = trace_export(samples, params="merit0", bandwidth=8)
+_, acf, _ = trace_export(samples, params="merit0", bandwidth=8)
 print("\nlag autocorrelation of merit0:")
-for lag, _, value in acf_rows:
+for lag, value in enumerate(acf):
     print(f"  lag {lag:>2}: {value:+.3f}")
 
 # an uninformative chain accepts every proposal and mixes instantly

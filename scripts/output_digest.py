@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of five fixed-seed btrank runs.
+"""Print a sha256 digest of every output of six fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -46,6 +46,8 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
                       "--drop-entities", "Chandigarh"]),
         ("diagnose", ["diagnose", str(work / "fit_thinned" / "chain.npz"),
                       "--window", "7", "--bandwidth", "9"]),
+        ("diagnose_subset", ["diagnose", str(work / "fit_thinned" / "chain.npz"),
+                             "--trace-params", "merit0,variance"]),
         ("simulate", ["simulate", str(spec), "--iterations", "2000", "--beta", "0.3"]),
     ]
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -13,8 +12,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bt import mle_newman
-from .data import apply_missing_policy, income_for_entities, load_dataset, subset_by_zone
-from .diagnostics import diagnose, rank_entities, trace_export
+from .data import (
+    apply_missing_policy, income_for_entities, load_dataset, subset_by_zone, write_csv, write_json
+)
+from .diagnostics import diagnose, long_rows, rank_entities, trace_export
 from .mcmc import SamplerConfig, load_chain, read_chain_metadata, run_chain, save_chain
 from .prior import RATIONAL_QUADRATIC, KernelSpec, build_prior
 from .report import export_report, summarize
@@ -114,11 +115,14 @@ OPTIONS = (
 
 
 def read_config_file(path, coercers) -> dict:
-    """Parse a flat ``key = value`` file, coercing each known key's type."""
+    """Parse a flat ``key = value`` file, coercing each known key's type.
+
+    A ``#`` at the start of a line or after whitespace starts a comment.
+    """
     options = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:
@@ -182,20 +186,6 @@ def _out_dir(options) -> Path:
     return out
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_rows(path, header, rows, formats) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(value) for fmt, value in zip(formats, row)])
-
-
 def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None, wins=None):
     report = diagnose(
         samples,
@@ -204,27 +194,17 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None, wins=
         window=options["window"],
         extra_flags=extra_flags,
     )
-    _write_json(report.to_dict(), out / "diagnostics.json")
+    write_json(report.to_dict(), out / "diagnostics.json")
 
     params = options["trace_params"]
     if params != "all":
         params = _csv_list(params)
-    trace_rows, acf_rows = trace_export(
+    trace, acf, names = trace_export(
         samples, params, cov=cov, wins=wins, bandwidth=options["bandwidth"]
     )
-    _write_rows(
-        out / "traces.csv",
-        ["draw", "parameter", "value"],
-        trace_rows,
-        (str, str, lambda v: f"{v:.17g}"),
-    )
-    _write_rows(
-        out / "acf.csv",
-        ["lag", "parameter", "autocorrelation"],
-        acf_rows,
-        (str, str, lambda v: f"{v:.17g}"),
-    )
-    _write_rows(out / "kendall.csv", ["draw", "distance"], report.kendall_series, (str, str))
+    write_csv(out / "traces.csv", ["draw", "parameter", "value"], long_rows(trace, names, 1))
+    write_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], long_rows(acf, names, 0))
+    write_csv(out / "kendall.csv", ["draw", "distance"], report.kendall_series)
     return report
 
 
@@ -296,11 +276,10 @@ def cmd_mle(args) -> int:
     ranks = rank_entities(merits, w.entities)
 
     out = _out_dir(options)
-    _write_rows(
+    write_csv(
         out / "mle_ranking.csv",
         ["entity", "merit", "rank"],
-        [(name, merits[i], int(ranks[i])) for i, name in enumerate(w.entities)],
-        (str, lambda v: f"{v:.17g}", str),
+        zip(w.entities, merits.tolist(), ranks.tolist()),
     )
     best = sorted(range(w.m), key=lambda i: ranks[i])[:5]
     print(f"mle: {w.m} entities, {table.k} indicators, {total_comparisons(w)} comparisons")

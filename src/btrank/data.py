@@ -1,8 +1,9 @@
-"""CSV ingestion and alignment of indicator, polarity, and income tables."""
+"""CSV ingestion and alignment of the input tables, and the format of every output file."""
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,3 +327,26 @@ def load_dataset(indicators_path, polarity_path, income_path, *,
     table = load_indicators(indicators_path, polarity_path)
     income = load_income(income_path, low_max=low_max, middle_max=middle_max)
     return align_entities(table, income)
+
+
+def _cell(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` (any iterable) in the csv module's default dialect.
+
+    Floats get 17 significant digits, so re-parsing reproduces them exactly;
+    any other cell is written with ``str``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as JSON indented by 2 with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

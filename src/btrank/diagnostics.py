@@ -301,19 +301,22 @@ def _resolve_params(samples: ChainSamples, params, cov, wins) -> list[str]:
 
 def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance | None = None,
                  wins: WinMatrix | None = None, bandwidth: int | None = None):
-    """Long-format trace and autocorrelation tables for external plotting.
+    """Trace and autocorrelation columns for external plotting.
 
     ``params`` selects among the merit components (``merit0`` ...),
     ``variance``, ``quad_form`` (which needs ``cov``), and ``loglik`` (which
     needs ``wins``), or ``"all"`` for everything computable from the inputs
-    given.  Returns ``(trace_rows, acf_rows)`` where trace rows are
-    ``(draw_index, parameter, value)`` and acf rows are
-    ``(lag, parameter, autocorrelation)`` up to the bandwidth.
+    given.  Returns ``(trace, acf, names)``: ``trace`` holds every kept draw
+    of each parameter in ``names``, one parameter after the other, and
+    ``acf`` holds each parameter's autocorrelations at lags 0 to the
+    bandwidth (at most ``n_kept - 1``) in the same order.
     """
     names = _resolve_params(samples, params, cov, wins)
     n = samples.n_kept
     if n < 1:
         raise ValueError("chain has no kept draws")
+    if bandwidth is not None and bandwidth < 1:
+        raise ValueError(f"bandwidth must be at least 1, got {bandwidth}")
     series: dict[str, np.ndarray] = {}
     for name in names:
         if name.startswith("merit"):
@@ -328,14 +331,24 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
             series[name] = log_likelihood(samples.merit_draws, wins)
 
     max_lag = min(default_bandwidth(n) if bandwidth is None else int(bandwidth), n - 1)
-    trace_rows = []
-    acf_rows = []
-    for name in names:
-        values = series[name]
-        trace_rows.extend((t + 1, name, float(values[t])) for t in range(n))
-        acf = _normalized_acf(values, max_lag)
-        acf_rows.extend((lag, name, float(acf[lag])) for lag in range(max_lag + 1))
-    return trace_rows, acf_rows
+    # stacked then flattened, so an empty ``names`` gives empty columns
+    trace = np.array([series[name] for name in names]).ravel()
+    acf = np.array([_normalized_acf(series[name], max_lag) for name in names]).ravel()
+    return trace, acf, names
+
+
+def long_rows(column: np.ndarray, names: list[str], first: int):
+    """Yield ``(index, parameter, value)`` for a :func:`trace_export` column.
+
+    ``index`` counts each parameter's values from ``first``: 1 for trace
+    draws, 0 for autocorrelation lags.  A column whose length is not a
+    multiple of ``len(names)`` raises instead of being mis-sliced.
+    """
+    if not names:
+        return
+    for name, values in zip(names, column.reshape(len(names), -1)):
+        for index, value in enumerate(values.tolist(), first):
+            yield index, name, value
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv, write_json
 from .diagnostics import discordant_pairs, rank_entities
 from .mcmc import ChainSamples
 
@@ -139,44 +138,22 @@ def compare_rankings(ranks_a: dict, ranks_b: dict):
     return len(swaps), swaps
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def export_report(report: RankingReport, format: str, path) -> None:
-    """Write the ranking table as ``csv`` or the full report as ``json``.
-
-    Floats are written with 17 significant digits so re-parsing reproduces
-    them exactly.
-    """
+    """Write the ranking table as ``csv`` or the full report as ``json``."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")
+    names = ("mean", "sd", "ci_low", "ci_high", "rank")
+    columns = {name: getattr(report, name).tolist() for name in names}
+    mle_rank = report.mle_rank.tolist() if report.mle_rank is not None else None
     if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["entity", "mean", "sd", "ci_low", "ci_high", "rank", "mle_rank"])
-            for i, name in enumerate(report.entities):
-                writer.writerow([
-                    name,
-                    _fmt(report.mean[i]),
-                    _fmt(report.sd[i]),
-                    _fmt(report.ci_low[i]),
-                    _fmt(report.ci_high[i]),
-                    int(report.rank[i]),
-                    int(report.mle_rank[i]) if report.mle_rank is not None else "",
-                ])
-    elif format == "json":
-        payload = {
+        blank = [""] * report.m
+        rows = zip(report.entities, *columns.values(), blank if mle_rank is None else mle_rank)
+        write_csv(path, ["entity", *columns, "mle_rank"], rows)
+    else:
+        write_json({
+            **columns,
             "level": report.level,
             "entities": list(report.entities),
-            "mean": [float(v) for v in report.mean],
-            "sd": [float(v) for v in report.sd],
-            "ci_low": [float(v) for v in report.ci_low],
-            "ci_high": [float(v) for v in report.ci_high],
-            "rank": [int(v) for v in report.rank],
-            "mle_rank": [int(v) for v in report.mle_rank] if report.mle_rank is not None else None,
-            "outrank": [[float(v) for v in row] for row in report.outrank],
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    else:
-        raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")
+            "mle_rank": mle_rank,
+            "outrank": report.outrank.tolist(),
+        }, path)

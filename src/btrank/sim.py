@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -11,6 +10,7 @@ from scipy.special import expit
 from scipy.stats import pearsonr, spearmanr
 
 from .bt import mle_newman
+from .data import write_csv
 from .diagnostics import kendall_tau_distance, rank_entities
 from .mcmc import SamplerConfig, posterior_mean, run_chain
 from .prior import KernelSpec, constrain, kernel_matrix, sample_constrained
@@ -137,16 +137,4 @@ def run_recovery_study(spec: SimStudySpec, sampler: SamplerConfig) -> list[dict]
 
 def write_study_csv(rows: list[dict], path) -> None:
     """Write recovery study rows with stable column order and full precision."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STUDY_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                int(row["replication"]),
-                f"{row['length_scale']:.17g}",
-                row["method"],
-                f"{row['spearman']:.17g}",
-                f"{row['pearson']:.17g}",
-                f"{row['rmse']:.17g}",
-                f"{row['kendall']:.17g}",
-            ])
+    write_csv(path, STUDY_COLUMNS, ([row[key] for key in STUDY_COLUMNS] for row in rows))

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import IndicatorTable
+from .data import IndicatorTable, write_csv
 
 TIE_POLICIES = ("split", "drop")
 
@@ -118,11 +117,13 @@ def total_comparisons(w: WinMatrix) -> int:
 
 def export_win_matrix(w: WinMatrix, path) -> None:
     """Write one ``entity_i,entity_j,wins,comparisons`` row per ordered pair."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["entity_i", "entity_j", "wins", "comparisons"])
-        for i, name_i in enumerate(w.entities):
-            for j, name_j in enumerate(w.entities):
-                if i == j:
-                    continue
-                writer.writerow([name_i, name_j, f"{w.wins[i, j]:.17g}", int(w.comparisons[i, j])])
+    write_csv(
+        path,
+        ["entity_i", "entity_j", "wins", "comparisons"],
+        (
+            (name_i, name_j, float(w.wins[i, j]), int(w.comparisons[i, j]))
+            for i, name_i in enumerate(w.entities)
+            for j, name_j in enumerate(w.entities)
+            if i != j
+        ),
+    )

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from btrank import (
+    ChainSamples,
     IncomeTable,
     IndicatorTable,
     KernelSpec,
+    SamplerConfig,
     build_prior,
     build_win_matrix,
     load_dataset,
@@ -61,6 +63,21 @@ def make_income(m: int = 6, base: float = 50_000.0) -> IncomeTable:
         entities=tuple(f"ent{i:02d}" for i in range(m)),
         income=incomes,
         zone=zones,
+    )
+
+
+def toy_samples(merit_draws: np.ndarray, accepted: int | None = None) -> ChainSamples:
+    """A chain of the given merit draws with unit variance draws."""
+    n = len(merit_draws)
+    if accepted is None:
+        accepted = n // 2
+    return ChainSamples(
+        merit_draws=merit_draws,
+        variance_draws=np.ones(n),
+        accepted=accepted,
+        proposed=n,
+        accept_flags=np.arange(n) < accepted,
+        config=SamplerConfig(beta=0.2, iterations=2 * n, burn_in=n),
     )
 
 

@@ -13,7 +13,12 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from btrank import trace_export
+
+from .conftest import toy_samples
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -52,3 +57,14 @@ def test_every_observed_result_has_a_hook(tracer):
         if func is not None
     }
     assert set(tracer.OBSERVE) <= names
+
+
+def test_trace_rows_count_every_kept_draw_of_every_parameter(tracer):
+    # the tracer reads diagnostics.trace_rows through this observer; a return
+    # value it misreads would report a wrong row count without failing
+    n, m = 50, 4
+    draws = np.random.default_rng(3).standard_normal((n, m))
+    samples = toy_samples(draws - draws.mean(axis=1, keepdims=True))
+    observe = tracer.OBSERVE["diagnostics.trace_export"]
+    assert observe(trace_export(samples)) == n * (m + 1)
+    assert observe(trace_export(samples, params=["merit0", "variance"])) == n * 2

@@ -26,9 +26,9 @@ from btrank import (
     trace_export,
     univariate_ess,
 )
-from btrank.diagnostics import _ess_core, default_bandwidth
+from btrank.diagnostics import _ess_core, default_bandwidth, long_rows
 
-from .conftest import make_income
+from .conftest import make_income, toy_samples
 
 
 def ar1(n: int, m: int, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -37,20 +37,6 @@ def ar1(n: int, m: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     for t in range(1, n):
         x[t] = rho * x[t - 1] + innov[t]
     return x
-
-
-def toy_samples(merit_draws: np.ndarray, accepted: int | None = None) -> ChainSamples:
-    n = len(merit_draws)
-    if accepted is None:
-        accepted = n // 2
-    return ChainSamples(
-        merit_draws=merit_draws,
-        variance_draws=np.ones(n),
-        accepted=accepted,
-        proposed=n,
-        accept_flags=np.arange(n) < accepted,
-        config=SamplerConfig(beta=0.2, iterations=2 * n, burn_in=n),
-    )
 
 
 class TestDefaultBandwidth:
@@ -300,23 +286,49 @@ class TestTraceExport:
         self.samples = toy_samples(self.draws)
 
     def test_default_exports_merits_and_variance(self):
-        trace_rows, acf_rows = trace_export(self.samples)
-        names = {row[1] for row in trace_rows}
-        assert names == {"merit0", "merit1", "merit2", "variance"}
-        assert len(trace_rows) == 60 * 4
-        assert trace_rows[0] == (1, "merit0", float(self.draws[0, 0]))
+        trace, acf, names = trace_export(self.samples)
+        assert names == ["merit0", "merit1", "merit2", "variance"]
+        assert trace.shape == (60 * 4,)
+        np.testing.assert_array_equal(trace[:180], self.draws.T.ravel())
+        np.testing.assert_array_equal(trace[180:], self.samples.variance_draws)
+        assert len(acf) == 4 * (default_bandwidth(60) + 1)
 
     def test_acf_starts_at_one_and_respects_the_bandwidth(self):
-        _, acf_rows = trace_export(self.samples, params="merit0", bandwidth=5)
-        assert [row[0] for row in acf_rows] == list(range(6))
-        assert acf_rows[0][2] == 1.0
+        _, acf, names = trace_export(self.samples, params="merit0", bandwidth=5)
+        assert names == ["merit0"]
+        assert acf.shape == (6,)
+        assert acf[0] == 1.0
+
+    def test_long_rows_number_draws_from_one_and_lags_from_zero(self):
+        trace, acf, names = trace_export(self.samples, params=["merit2", "variance"], bandwidth=5)
+        trace_rows = list(long_rows(trace, names, 1))
+        assert trace_rows[0] == (1, "merit2", float(self.draws[0, 2]))
+        assert trace_rows[59] == (60, "merit2", float(self.draws[59, 2]))
+        assert trace_rows[60] == (1, "variance", 1.0)
+        acf_rows = list(long_rows(acf, names, 0))
+        assert [row[:2] for row in acf_rows] == [(k, p) for p in names for k in range(6)]
+        assert [row[2] for row in acf_rows[::6]] == [1.0, 1.0]
+
+    def test_long_rows_reject_a_column_of_the_wrong_length(self):
+        trace, _, names = trace_export(self.samples, params=["merit0", "merit1"])
+        with pytest.raises(ValueError):
+            list(long_rows(trace[:-1], names, 1))
+
+    def test_no_parameters_give_empty_columns(self):
+        trace, acf, names = trace_export(self.samples, params=[])
+        assert (trace.shape, acf.shape, names) == ((0,), (0,), [])
+
+    def test_bandwidth_below_one_is_rejected(self):
+        for bandwidth in (0, -3):
+            with pytest.raises(ValueError, match="bandwidth must be at least 1"):
+                trace_export(self.samples, bandwidth=bandwidth)
 
     def test_pinned_variance_acf_is_an_impulse(self, toy_wins, toy_prior):
         config = SamplerConfig(beta=0.2, iterations=1500, burn_in=500, seed=8, fix_variance=0.3)
         samples = run_chain(toy_wins, toy_prior, config)
-        _, acf_rows = trace_export(samples, params="variance")
-        assert [row[2] for row in acf_rows] == [1.0] + [0.0] * (len(acf_rows) - 1)
-        assert len(acf_rows) == default_bandwidth(1000) + 1
+        _, acf, _ = trace_export(samples, params="variance")
+        assert acf.tolist() == [1.0] + [0.0] * (len(acf) - 1)
+        assert len(acf) == default_bandwidth(1000) + 1
 
     def test_quad_form_and_loglik_need_their_inputs(self):
         with pytest.raises(ValueError, match="quad_form"):
@@ -328,9 +340,9 @@ class TestTraceExport:
 
     def test_quad_form_matches_the_direct_quadratic(self):
         cov = build_prior(make_income(3), KernelSpec("squared_exponential", 0.5))
-        trace_rows, _ = trace_export(self.samples, params="quad_form", cov=cov)
+        trace, _, _ = trace_export(self.samples, params="quad_form", cov=cov)
         direct = [float(d @ cov.pinv @ d) for d in self.draws]
-        np.testing.assert_allclose([row[2] for row in trace_rows], direct, rtol=1e-10)
+        np.testing.assert_allclose(trace, direct, rtol=1e-10)
 
 
 class TestDiagnose:
