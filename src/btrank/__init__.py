@@ -23,7 +23,6 @@ from .data import (
 from .diagnostics import (
     DiagnosticsReport,
     acceptance_rate,
-    autocovariance,
     diagnose,
     kendall_tau_distance,
     multivariate_ess,
@@ -72,7 +71,6 @@ __all__ = [
     "acceptance_rate",
     "align_entities",
     "apply_missing_policy",
-    "autocovariance",
     "build_prior",
     "build_win_matrix",
     "compare_rankings",

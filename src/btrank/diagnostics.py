@@ -1,4 +1,4 @@
-"""Chain quality measures: autocovariances, effective sample size, rank stability."""
+"""Chain quality measures: long-run covariance, effective sample size, rank stability."""
 
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ from .wins import WinMatrix
 # multiplier shared by the effective-sample-size estimators
 ESS_CAP_FACTOR = 1.5
 
+# window sums per Gram-matrix block in spectral_longrun; at M=33 each
+# (block, M) temporary takes about 1 MB
+LONGRUN_BLOCK = 4096
+
 
 def default_bandwidth(n: int) -> int:
     """Bartlett window width used when none is requested: floor(N^(1/3))."""
@@ -27,53 +31,60 @@ def default_bandwidth(n: int) -> int:
     return b
 
 
-def autocovariance(draws: np.ndarray, lag: int) -> np.ndarray:
-    """Empirical lag-``lag`` autocovariance matrix of a draw sequence.
+def _check_bandwidth(bandwidth: int, n: int) -> int:
+    bandwidth = int(bandwidth)
+    if not 1 <= bandwidth <= n:
+        raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
+    return bandwidth
 
-    Uses the fixed divisor N regardless of lag, which keeps the Bartlett-
-    weighted long-run sum positive semidefinite.
-    """
+
+def _centred(draws, pad: int = 0) -> np.ndarray:
+    """Column-centred ``(N, M)`` draws with ``pad`` rows of zeros above and below."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be a 2-D array of shape (N, M)")
     n = len(draws)
-    if not 0 <= lag < n:
-        raise ValueError(f"lag must lie in [0, {n}), got {lag}")
-    centered = draws - draws.mean(axis=0)
-    return centered[: n - lag].T @ centered[lag:] / n
+    if n < 2:
+        raise ValueError("need at least 2 draws")
+    out = np.zeros((n + 2 * pad, draws.shape[1]))
+    np.subtract(draws, draws.mean(axis=0), out=out[pad : pad + n])
+    return out
 
 
 def sample_covariance(draws: np.ndarray) -> np.ndarray:
     """Sample covariance of the draws with the usual N - 1 divisor."""
-    draws = np.asarray(draws, dtype=float)
-    n = len(draws)
-    if n < 2:
-        raise ValueError("need at least 2 draws")
-    return autocovariance(draws, 0) * (n / (n - 1.0))
+    centred = _centred(draws)
+    n = len(centred)
+    # two steps, not one divisor: the ESS determinant ratio turns a last-bit
+    # change here into ~5e-13 relative
+    return centred.T @ centred / n * (n / (n - 1.0))
 
 
 def spectral_longrun(draws: np.ndarray, bandwidth: int, return_flag: bool = False):
     """Bartlett-windowed long-run covariance estimate.
 
-    Sums the sample covariance and triangularly downweighted symmetrized lag
-    autocovariances up to ``bandwidth - 1``.  Materially negative eigenvalues
-    are floored at zero; ``return_flag`` additionally reports whether that
-    flooring occurred.
+    The sample covariance plus the lag-``k`` autocovariances (divisor N),
+    ``0 < |k| < bandwidth``, weighted by ``1 - |k| / bandwidth``.  The weight
+    ``bandwidth - |k|`` is the number of length-``bandwidth`` windows of the
+    zero-padded centred draws holding both draws of a lag-``k`` pair, so the
+    sum is the Gram matrix of the window sums, formed ``LONGRUN_BLOCK``
+    windows at a time.  Materially negative eigenvalues are floored at zero;
+    ``return_flag`` additionally reports whether that flooring occurred.
     """
-    draws = np.asarray(draws, dtype=float)
     n = len(draws)
-    if n < 2:
-        raise ValueError("need at least 2 draws")
-    bandwidth = int(bandwidth)
-    if not 1 <= bandwidth <= n:
-        raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
-
-    centered = draws - draws.mean(axis=0)
-    longrun = centered.T @ centered / (n - 1.0)
-    for k in range(1, bandwidth):
-        weight = 1.0 - k / bandwidth
-        lag = centered[: n - k].T @ centered[k:] / n
-        longrun = longrun + weight * (lag + lag.T)
+    b = _check_bandwidth(bandwidth, n)
+    padded = _centred(draws, pad=b)
+    centred = padded[b : b + n]
+    gram = centred.T @ centred
+    # after the running sum, padded[i] - padded[i - b] sums the b rows ending
+    # at row i; the windows ending at rows b .. n + 2b - 2 hold a draw
+    np.cumsum(padded, axis=0, out=padded)
+    windows = np.zeros_like(gram)
+    for start in range(0, n + b - 1, LONGRUN_BLOCK):
+        stop = min(start + LONGRUN_BLOCK, n + b - 1)
+        block = padded[start + b : stop + b] - padded[start:stop]
+        windows += block.T @ block
+    longrun = (windows / b + gram / (n - 1.0)) / n
     longrun = 0.5 * (longrun + longrun.T)
 
     eigvals, eigvecs = np.linalg.eigh(longrun)
@@ -120,8 +131,6 @@ def _cap_ess(ess: float, n: int) -> tuple[float, bool]:
 def _ess(draws, threshold: float, bandwidth: int | None):
     """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError("draws must be a 2-D array of shape (N, M)")
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
     n = len(draws)
@@ -259,14 +268,11 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
     n = samples.n_kept
     if n < 1:
         raise ValueError("chain has no kept draws")
-    running = np.cumsum(samples.merit_draws, axis=0)
-    final = rank_entities(running[-1] / n)
+    # running sums at the window ends only
+    sums = np.cumsum(np.add.reduceat(samples.merit_draws, np.arange(0, n, window), axis=0), axis=0)
+    final = rank_entities(sums[-1] / n)
     points = list(range(window, n, window)) + [n]
-    series = []
-    for t in points:
-        ranks_t = rank_entities(running[t - 1] / t)
-        series.append((t, kendall_tau_distance(ranks_t, final)))
-    return series
+    return [(t, kendall_tau_distance(rank_entities(s / t), final)) for t, s in zip(points, sums)]
 
 
 def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -315,8 +321,6 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
     n = samples.n_kept
     if n < 1:
         raise ValueError("chain has no kept draws")
-    if bandwidth is not None and bandwidth < 1:
-        raise ValueError(f"bandwidth must be at least 1, got {bandwidth}")
     series: dict[str, np.ndarray] = {}
     for name in names:
         if name.startswith("merit"):
@@ -330,7 +334,8 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
         else:
             series[name] = log_likelihood(samples.merit_draws, wins)
 
-    max_lag = min(default_bandwidth(n) if bandwidth is None else int(bandwidth), n - 1)
+    b = default_bandwidth(n) if bandwidth is None else _check_bandwidth(bandwidth, n)
+    max_lag = min(b, n - 1)
     # stacked then flattened, so an empty ``names`` gives empty columns
     trace = np.array([series[name] for name in names]).ravel()
     acf = np.array([_normalized_acf(series[name], max_lag) for name in names]).ravel()

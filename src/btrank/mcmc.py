@@ -196,12 +196,6 @@ def posterior_mean(samples: ChainSamples) -> np.ndarray:
     return samples.merit_draws.mean(axis=0)
 
 
-def _config_to_dict(config: SamplerConfig) -> dict:
-    out = asdict(config)
-    out["kernel"] = asdict(config.kernel)
-    return out
-
-
 def _config_from_dict(data: dict) -> SamplerConfig:
     kernel = KernelSpec(**data.pop("kernel"))
     return SamplerConfig(kernel=kernel, **data)
@@ -216,7 +210,7 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
     ``read_chain_metadata``.
     """
     meta = {
-        "config": _config_to_dict(samples.config),
+        "config": asdict(samples.config),
         "accepted": samples.accepted,
         "proposed": samples.proposed,
         "extra": metadata or {},

@@ -259,7 +259,7 @@ def test_criterion_6_recovery_study():
 
 
 def test_criterion_7_kendall_distance_exhaustive():
-    """Merge-sort inversion counting equals brute force on every small permutation."""
+    """The discordant-pair count equals brute force on every small permutation."""
     start = time.perf_counter()
     checked = 0
     for m in range(1, 6):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from btrank import (
     KernelSpec,
     SamplerConfig,
     acceptance_rate,
-    autocovariance,
     build_prior,
     diagnose,
     kendall_tau_distance,
@@ -39,6 +40,24 @@ def ar1(n: int, m: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+def lag_loop_longrun(draws: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The Bartlett long-run covariance as a direct sum over lags, before any flooring."""
+    n = len(draws)
+    centered = draws - draws.mean(axis=0)
+    longrun = centered.T @ centered / (n - 1.0)
+    for k in range(1, bandwidth):
+        lag = centered[: n - k].T @ centered[k:] / n
+        longrun = longrun + (1.0 - k / bandwidth) * (lag + lag.T)
+    return 0.5 * (longrun + longrun.T)
+
+
+def assert_matches_lag_loop(draws: np.ndarray, bandwidth: int) -> None:
+    longrun, floored = spectral_longrun(draws, bandwidth, return_flag=True)
+    expected = lag_loop_longrun(draws, bandwidth)
+    assert floored is False
+    assert np.abs(longrun - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestDefaultBandwidth:
     def test_exact_at_perfect_cubes(self):
         assert default_bandwidth(27) == 3
@@ -53,24 +72,6 @@ class TestDefaultBandwidth:
 
 
 class TestAutocovariance:
-    def test_matches_a_direct_loop(self):
-        rng = np.random.default_rng(1)
-        draws = rng.standard_normal((50, 3))
-        centered = draws - draws.mean(axis=0)
-        for lag in (0, 1, 5):
-            direct = sum(
-                np.outer(centered[t], centered[t + lag]) for t in range(50 - lag)
-            ) / 50
-            np.testing.assert_allclose(autocovariance(draws, lag), direct, atol=1e-12)
-
-    def test_validates_shape_and_lag(self):
-        with pytest.raises(ValueError, match="2-D"):
-            autocovariance(np.zeros(10), 0)
-        with pytest.raises(ValueError, match="lag"):
-            autocovariance(np.zeros((10, 2)), 10)
-        with pytest.raises(ValueError, match="lag"):
-            autocovariance(np.zeros((10, 2)), -1)
-
     def test_sample_covariance_matches_numpy(self):
         rng = np.random.default_rng(2)
         draws = rng.standard_normal((80, 4))
@@ -113,6 +114,36 @@ class TestSpectralLongrun:
             spectral_longrun(draws, 0)
         with pytest.raises(ValueError, match="bandwidth"):
             spectral_longrun(draws, 21)
+
+    def test_matches_the_lag_loop(self):
+        rng = np.random.default_rng(22)
+        cases = [(rng.standard_normal((n, 3)), b) for n, b in ((2, 2), (20, 1), (20, 20), (500, 7))]
+        # a persistent chain far from zero: the draws are centred before the
+        # running sums, so the mean costs no precision
+        cases.append((ar1(200_000, 4, 0.999, rng) + 1e3, default_bandwidth(200_000)))
+        for draws, bandwidth in cases:
+            assert_matches_lag_loop(draws, bandwidth)
+
+    @pytest.mark.skipif(
+        os.environ.get("BTRANK_FULL_RUN") != "1",
+        reason="default-fit size (2e6 x 33); set BTRANK_FULL_RUN=1 to run",
+    )
+    def test_matches_the_lag_loop_at_the_default_fit_size(self):
+        draws = ar1(2_000_000, 33, 0.999, np.random.default_rng(24)) + 3.0
+        assert_matches_lag_loop(draws, default_bandwidth(2_000_000))
+
+    def test_peak_memory_is_one_padded_copy_of_the_draws(self):
+        # the zero-padded running-sum buffer plus two 1 MB blocks of window
+        # sums measure 1.08x the input; the lag loop's centred copy measured
+        # 1.00x, and a full-size array of window sums would add another 1.0x
+        draws = np.random.default_rng(25).standard_normal((100_000, 33))
+        tracemalloc.start()
+        try:
+            spectral_longrun(draws, default_bandwidth(100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * draws.nbytes
 
 
 class TestMultivariateEss:
@@ -318,10 +349,18 @@ class TestTraceExport:
         trace, acf, names = trace_export(self.samples, params=[])
         assert (trace.shape, acf.shape, names) == ((0,), (0,), [])
 
-    def test_bandwidth_below_one_is_rejected(self):
+    def test_bandwidth_outside_one_to_n_is_rejected(self):
         for bandwidth in (0, -3):
-            with pytest.raises(ValueError, match="bandwidth must be at least 1"):
+            with pytest.raises(ValueError, match=r"bandwidth must lie in \[1, 60\]"):
                 trace_export(self.samples, bandwidth=bandwidth)
+        short = toy_samples(self.draws[:20])
+        with pytest.raises(ValueError, match=r"bandwidth must lie in \[1, 20\]"):
+            trace_export(short, bandwidth=50)
+        with pytest.raises(ValueError, match=r"bandwidth must lie in \[1, 20\]"):
+            diagnose(short, bandwidth=50)
+        # bandwidth n is accepted, and the ACF still stops at lag n - 1
+        _, acf, _ = trace_export(short, params="merit0", bandwidth=20)
+        assert acf.shape == (20,)
 
     def test_pinned_variance_acf_is_an_impulse(self, toy_wins, toy_prior):
         config = SamplerConfig(beta=0.2, iterations=1500, burn_in=500, seed=8, fix_variance=0.3)
