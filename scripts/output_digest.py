@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of six fixed-seed btrank runs.
+"""Print a sha256 digest of every output of seven fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -44,6 +44,7 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
                          "--iterations", "3000", "--seed", "5"]),
         ("mle_drop", ["mle", *inputs, "--missing-policy", "drop_entities",
                       "--drop-entities", "Chandigarh"]),
+        ("mle_tie_drop", ["mle", *inputs, "--tie-policy", "drop"]),
         ("diagnose", ["diagnose", str(work / "fit_thinned" / "chain.npz"),
                       "--window", "7", "--bandwidth", "9"]),
         ("diagnose_subset", ["diagnose", str(work / "fit_thinned" / "chain.npz"),

@@ -168,15 +168,17 @@ def multivariate_ess(draws: np.ndarray, threshold: float = 1e-8,
     return _ess(draws, threshold, bandwidth)[:2]
 
 
-def _fft_autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray | None:
+def _fft_autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Lag 0..max_lag autocovariances of a series, divisor N, via a zero-padded FFT.
 
-    Returns None for a constant series.  Constancy is tested exactly: centering
-    a constant such as 0.3 can leave a ~1e-17 residue whose autocovariances
-    look like a perfectly correlated series.
+    A constant series gives the unit impulse ``1, 0, 0, ...``, the
+    autocovariances of unit white noise, so it counts as fully independent.
+    Constancy is tested exactly: centering a constant such as 0.3 can leave
+    a ~1e-17 residue whose autocovariances look like a perfectly correlated
+    series.
     """
     if np.ptp(x) == 0:
-        return None
+        return np.eye(1, max_lag + 1)[0]
     n = len(x)
     centered = x - x.mean()
     nfft = 1 << int(2 * n - 1).bit_length()
@@ -197,9 +199,6 @@ def univariate_ess(x: np.ndarray) -> float:
         raise ValueError("need a 1-D series of at least 4 draws")
     n = len(x)
     acov = _fft_autocovariance(x, n - 1)
-    if acov is None:
-        return float(n)
-
     pair_count = n // 2
     pairs = acov[0 : 2 * pair_count : 2] + acov[1 : 2 * pair_count : 2]
     nonpositive = np.nonzero(pairs <= 0)[0]
@@ -277,10 +276,6 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
 
 def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     acov = _fft_autocovariance(np.asarray(x, dtype=float), max_lag)
-    if acov is None:
-        out = np.zeros(max_lag + 1)
-        out[0] = 1.0
-        return out
     return acov / acov[0]
 
 

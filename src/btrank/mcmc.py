@@ -135,7 +135,6 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
 
     rng = np.random.default_rng(config.seed)
-    flat = not w.wins.any()
     contraction = math.sqrt(1.0 - config.beta**2)
     fixed = config.fix_variance is not None
     shape = _gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
@@ -144,7 +143,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     u = np.zeros(cov.rank)
     merits = np.zeros(w.m)
     variance = float(config.fix_variance) if fixed else 1.0
-    loglik = 0.0 if flat else log_likelihood(merits, w)
+    loglik = log_likelihood(merits, w)
 
     n_post = config.iterations - burn_in
     n_kept = -(-n_post // thin)
@@ -164,7 +163,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
                 variance = (config.prior_scale + float(u @ u)) / gammas[k]
             proposal = contraction * u + math.sqrt(variance) * noise[k]
             proposal_merits = cov.factor @ proposal
-            loglik_new = 0.0 if flat else log_likelihood(proposal_merits, w)
+            loglik_new = log_likelihood(proposal_merits, w)
             if not math.isfinite(loglik_new):
                 raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
             accept = log_uniforms[k] < loglik_new - loglik

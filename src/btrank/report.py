@@ -57,16 +57,15 @@ class RankingReport:
 
 
 def _outranking(draws: np.ndarray) -> np.ndarray:
+    # summarize rejects non-finite draws, so a draw neither entity wins is a
+    # tie: (wins + ties / 2) / n = (n + wins - wins') / 2n
     n, m = draws.shape
-    counts = np.zeros((m, m))
+    wins = np.zeros((m, m), dtype=np.int64)
     step = max(1, 2_000_000 // (m * m))
     for start in range(0, n, step):
         chunk = draws[start : start + step]
-        counts += (chunk[:, :, None] > chunk[:, None, :]).sum(axis=0)
-        counts += 0.5 * (chunk[:, :, None] == chunk[:, None, :]).sum(axis=0)
-    out = counts / n
-    np.fill_diagonal(out, 0.5)
-    return out
+        wins += (chunk[:, :, None] > chunk[:, None, :]).sum(axis=0)
+    return (n + wins - wins.T) / (2.0 * n)
 
 
 def summarize(samples: ChainSamples, entities, level: float = 0.95,
@@ -97,6 +96,8 @@ def summarize(samples: ChainSamples, entities, level: float = 0.95,
         raise ValueError("level must lie strictly between 0 and 1")
 
     draws = samples.merit_draws
+    if not np.isfinite(draws).all():
+        raise ValueError("non-finite merit draws")
     mean = draws.mean(axis=0)
     sd = draws.std(axis=0, ddof=1)
     tail = (1.0 - level) / 2.0

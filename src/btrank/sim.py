@@ -61,17 +61,13 @@ def simulate_win_matrix(true_merits: np.ndarray, k: int, rng: np.random.Generato
     if k < 1:
         raise ValueError("k must be positive")
     m = len(true_merits)
-    entities = tuple(f"item{i:02d}" for i in range(m))
+    # one binomial draw per pair i < j, in row order
+    i, j = np.triu_indices(m, 1)
+    won = rng.binomial(k, expit(true_merits[i] - true_merits[j]))
     wins = np.zeros((m, m))
-    comparisons = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            p = expit(true_merits[i] - true_merits[j])
-            won = int(rng.binomial(k, p))
-            wins[i, j] = won
-            wins[j, i] = k - won
-            comparisons[i, j] = comparisons[j, i] = k
-    return WinMatrix(entities=entities, wins=wins, comparisons=comparisons)
+    wins[i, j], wins[j, i] = won, k - won
+    entities = tuple(f"item{n:02d}" for n in range(m))
+    return WinMatrix(entities=entities, wins=wins, comparisons=(wins + wins.T).astype(np.int64))
 
 
 def _metric_row(replication: int, length_scale: float, method: str,

@@ -96,13 +96,12 @@ def build_win_matrix(table: IndicatorTable, tie_policy: str = "split") -> WinMat
 
     adjusted = table.values * table.polarity
     greater = (adjusted[:, None, :] > adjusted[None, :, :]).sum(axis=2).astype(float)
-    ties = (adjusted[:, None, :] == adjusted[None, :, :]).sum(axis=2).astype(float)
-    np.fill_diagonal(ties, 0.0)
 
     if tie_policy == "split":
-        wins = greater + 0.5 * ties
         comparisons = np.full((table.m, table.m), table.k, dtype=np.int64)
         np.fill_diagonal(comparisons, 0)
+        # values are finite, so ties = k - greater - greater'; wins = greater + ties / 2
+        wins = 0.5 * (comparisons + greater - greater.T)
     else:
         wins = greater
         comparisons = (greater + greater.T).astype(np.int64)

@@ -60,6 +60,12 @@ class TestLogLikelihood:
         )
         np.testing.assert_allclose(log_likelihood(mu[perm], permuted), log_likelihood(mu, toy_wins))
 
+    def test_no_comparisons_give_exactly_zero(self):
+        w = wins_matrix(np.zeros((3, 3)))
+        draws = np.random.default_rng(4).normal(size=(5, 3))
+        assert log_likelihood(draws[0], w) == 0.0
+        assert (log_likelihood(draws, w) == 0.0).all()
+
     def test_large_gaps_stay_finite(self):
         w = wins_matrix([[0.0, 1.0], [1.0, 0.0]])
         assert np.isfinite(log_likelihood(np.array([500.0, -500.0]), w))

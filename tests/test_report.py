@@ -78,6 +78,13 @@ class TestSummarize:
         # 100 wins for x plus 100 exact ties split in half
         np.testing.assert_allclose(report.outrank[0, 1], (100 + 50) / 200)
 
+    def test_non_finite_draws_are_an_error(self):
+        for bad in (np.nan, np.inf):
+            draws = self.draws.copy()
+            draws[17, 1] = bad
+            with pytest.raises(ValueError, match="non-finite merit draws"):
+                summarize(samples_from(draws), self.entities)
+
     def test_baseline_merits_add_a_second_ranking(self):
         report = summarize(self.samples, self.entities, mle_merits=np.array([0.0, 2.0, 1.0]))
         np.testing.assert_array_equal(report.mle_rank, [3, 1, 2])
@@ -100,6 +107,43 @@ class TestSummarize:
             summarize(self.samples, self.entities, level=1.0)
         with pytest.raises(ValueError, match="baseline"):
             summarize(self.samples, self.entities, mle_merits=np.zeros(5))
+
+
+def two_pass_outranking(draws):
+    """Strict wins plus half the exact ties counted in a second pass.
+
+    This is the form the tie identity ``(n + wins - wins') / 2n`` replaces.
+    """
+    n, m = draws.shape
+    counts = np.zeros((m, m))
+    step = max(1, 2_000_000 // (m * m))
+    for start in range(0, n, step):
+        chunk = draws[start : start + step]
+        counts += (chunk[:, :, None] > chunk[:, None, :]).sum(axis=0)
+        counts += 0.5 * (chunk[:, :, None] == chunk[:, None, :]).sum(axis=0)
+    out = counts / n
+    np.fill_diagonal(out, 0.5)
+    return out
+
+
+class TestOutrankingOracle:
+    """Ties counted as the draws neither entity wins, against an explicit tie pass, bit for bit."""
+
+    def check(self, draws):
+        names = tuple(f"e{i:02d}" for i in range(draws.shape[1]))
+        outrank = summarize(samples_from(draws), names).outrank
+        assert outrank.tobytes() == two_pass_outranking(draws).tobytes()
+
+    def test_quantised_draws(self):
+        rng = np.random.default_rng(45)
+        # at M=33 the 5000 draws span three chunks, and rounding to 0.1 makes many ties
+        for m, n, scale in ((3, 4000, 0.3), (33, 5000, 0.2), (7, 333, 1.0)):
+            draws = np.round(np.linspace(-1.0, 1.0, m) + scale * rng.standard_normal((n, m)), 1)
+            self.check(draws)
+
+    def test_all_equal_draws(self):
+        self.check(np.zeros((150, 4)))
+        self.check(np.full((101, 2), 0.3))
 
 
 class TestRankingReportValidation:

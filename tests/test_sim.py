@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from btrank import (
     KernelSpec,
@@ -41,8 +42,6 @@ class TestSimulateWinMatrix:
     def test_win_frequency_tracks_the_merit_gap(self):
         rng = np.random.default_rng(3)
         w = simulate_win_matrix(np.array([1.0, 0.0]), 100_000, rng)
-        from scipy.special import expit
-
         assert abs(w.wins[0, 1] / 100_000 - expit(1.0)) < 0.01
 
     def test_validates_inputs(self):
@@ -53,6 +52,34 @@ class TestSimulateWinMatrix:
             simulate_win_matrix(np.zeros(1), 5, rng)
         with pytest.raises(ValueError, match="k must be positive"):
             simulate_win_matrix(np.zeros(3), 0, rng)
+
+
+def looped_win_matrix(true_merits, k, rng):
+    """One binomial draw per pair in a double loop, the form the vector draw replaces."""
+    m = len(true_merits)
+    wins = np.zeros((m, m))
+    comparisons = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            won = int(rng.binomial(k, expit(true_merits[i] - true_merits[j])))
+            wins[i, j] = won
+            wins[j, i] = k - won
+            comparisons[i, j] = comparisons[j, i] = k
+    return wins, comparisons
+
+
+class TestVectorDrawOracle:
+    def test_matches_the_double_loop_and_leaves_the_same_stream(self):
+        for m in (2, 3, 10):
+            for seed in range(5):
+                merits = np.random.default_rng(100 + seed).normal(scale=1.5, size=m)
+                vector_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                w = simulate_win_matrix(merits, 37, vector_rng)
+                wins, comparisons = looped_win_matrix(merits, 37, loop_rng)
+                assert np.array_equal(w.wins, wins)
+                assert np.array_equal(w.comparisons, comparisons)
+                assert w.comparisons.dtype == comparisons.dtype
+                assert vector_rng.random() == loop_rng.random()
 
 
 class TestSimStudySpec:

@@ -73,6 +73,49 @@ class TestBuildWinMatrix:
         assert (w.wins >= 0).all()
 
 
+def two_pass_win_matrix(table, tie_policy):
+    """Wins and comparisons from a second pass that counts exact ties.
+
+    This is the form the tie identity ``ties = k - greater - greater'`` replaces.
+    """
+    adjusted = table.values * table.polarity
+    greater = (adjusted[:, None, :] > adjusted[None, :, :]).sum(axis=2).astype(float)
+    ties = (adjusted[:, None, :] == adjusted[None, :, :]).sum(axis=2).astype(float)
+    np.fill_diagonal(ties, 0.0)
+    if tie_policy == "split":
+        comparisons = np.full((table.m, table.m), table.k, dtype=np.int64)
+        np.fill_diagonal(comparisons, 0)
+        return greater + 0.5 * ties, comparisons
+    return greater, (greater + greater.T).astype(np.int64)
+
+
+class TestTieIdentityOracle:
+    """Ties counted as the indicators neither side wins, against an explicit tie pass."""
+
+    def check(self, table):
+        for policy in ("split", "drop"):
+            w = build_win_matrix(table, policy)
+            wins, comparisons = two_pass_win_matrix(table, policy)
+            assert w.wins.dtype == wins.dtype and w.comparisons.dtype == comparisons.dtype
+            assert np.array_equal(w.wins, wins)
+            assert np.array_equal(w.comparisons, comparisons)
+
+    def test_table_with_forced_ties(self):
+        # three levels per cell, so most pairs tie on several indicators; the
+        # -1 polarities turn the zeros into -0.0, which ties with 0.0
+        values = np.random.default_rng(11).integers(0, 3, (9, 12)).astype(float)
+        table = table_from_values(values, polarity=np.where(np.arange(12) % 2, -1, 1))
+        wins = two_pass_win_matrix(table, "split")[0]
+        assert (wins % 1 == 0.5).any()  # some pair has an odd number of ties
+        self.check(table)
+
+    def test_bundled_dataset(self, fixture_dataset):
+        from btrank import apply_missing_policy
+
+        table, _ = fixture_dataset
+        self.check(apply_missing_policy(table, "drop_indicators"))
+
+
 class TestTotalComparisons:
     def test_complete_table_counts_all_pairs(self):
         # K contests for each of the M(M-1)/2 unordered pairs
