@@ -329,20 +329,17 @@ def load_dataset(indicators_path, polarity_path, income_path, *,
     return align_entities(table, income)
 
 
-def _cell(value) -> str:
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
 def write_csv(path, header, rows) -> None:
     """Write ``header`` and then ``rows`` (any iterable) in the csv module's default dialect.
 
-    Floats get 17 significant digits, so re-parsing reproduces them exactly;
-    any other cell is written with ``str``.
+    Every cell is written with ``str``, which for a Python float is ``repr``:
+    the shortest string that parses back to the same double, as in the JSON
+    outputs.  Pass Python numbers (from ``tolist()``, say), not numpy scalars.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_json(payload, path) -> None:

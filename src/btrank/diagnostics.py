@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -338,17 +339,18 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
 
 
 def long_rows(column: np.ndarray, names: list[str], first: int):
-    """Yield ``(index, parameter, value)`` for a :func:`trace_export` column.
+    """Iterate ``(index, parameter, value)`` rows of a :func:`trace_export` column.
 
     ``index`` counts each parameter's values from ``first``: 1 for trace
     draws, 0 for autocorrelation lags.  A column whose length is not a
     multiple of ``len(names)`` raises instead of being mis-sliced.
     """
     if not names:
-        return
-    for name, values in zip(names, column.reshape(len(names), -1)):
-        for index, value in enumerate(values.tolist(), first):
-            yield index, name, value
+        return iter(())
+    return chain.from_iterable(
+        zip(count(first), repeat(name), values.tolist())
+        for name, values in zip(names, column.reshape(len(names), -1))
+    )
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,10 @@ class ChainSamples:
             raise ValueError("accept_flags must have one entry per post-burn-in proposal")
         if self.merit_draws.ndim != 2 or len(self.merit_draws) != len(self.variance_draws):
             raise ValueError("merit and variance draws must have matching lengths")
+        if not np.isfinite(self.merit_draws).all():
+            raise ValueError("non-finite merit draws")
+        if not np.isfinite(self.variance_draws).all():
+            raise ValueError("non-finite variance draws")
 
     @property
     def n_kept(self) -> int:

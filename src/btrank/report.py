@@ -57,7 +57,7 @@ class RankingReport:
 
 
 def _outranking(draws: np.ndarray) -> np.ndarray:
-    # summarize rejects non-finite draws, so a draw neither entity wins is a
+    # ChainSamples holds only finite draws, so a draw neither entity wins is a
     # tie: (wins + ties / 2) / n = (n + wins - wins') / 2n
     n, m = draws.shape
     wins = np.zeros((m, m), dtype=np.int64)
@@ -96,8 +96,6 @@ def summarize(samples: ChainSamples, entities, level: float = 0.95,
         raise ValueError("level must lie strictly between 0 and 1")
 
     draws = samples.merit_draws
-    if not np.isfinite(draws).all():
-        raise ValueError("non-finite merit draws")
     mean = draws.mean(axis=0)
     sd = draws.std(axis=0, ddof=1)
     tail = (1.0 - level) / 2.0
@@ -147,8 +145,7 @@ def export_report(report: RankingReport, format: str, path) -> None:
     columns = {name: getattr(report, name).tolist() for name in names}
     mle_rank = report.mle_rank.tolist() if report.mle_rank is not None else None
     if format == "csv":
-        blank = [""] * report.m
-        rows = zip(report.entities, *columns.values(), blank if mle_rank is None else mle_rank)
+        rows = zip(report.entities, *columns.values(), mle_rank or [""] * report.m)
         write_csv(path, ["entity", *columns, "mle_rank"], rows)
     else:
         write_json({

@@ -120,9 +120,9 @@ def export_win_matrix(w: WinMatrix, path) -> None:
         path,
         ["entity_i", "entity_j", "wins", "comparisons"],
         (
-            (name_i, name_j, float(w.wins[i, j]), int(w.comparisons[i, j]))
-            for i, name_i in enumerate(w.entities)
-            for j, name_j in enumerate(w.entities)
-            if i != j
+            (name_i, name_j, wins, comparisons)
+            for name_i, row_w, row_c in zip(w.entities, w.wins.tolist(), w.comparisons.tolist())
+            for name_j, wins, comparisons in zip(w.entities, row_w, row_c)
+            if name_j != name_i
         ),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,12 @@ def toy_samples(merit_draws: np.ndarray, accepted: int | None = None) -> ChainSa
         accept_flags=np.arange(n) < accepted,
         config=SamplerConfig(beta=0.2, iterations=2 * n, burn_in=n),
     )
+
+
+def csv_floats(path, column: str) -> np.ndarray:
+    """One column of a CSV output, every cell parsed with ``float``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return np.array([float(row[column]) for row in csv.DictReader(handle)])
 
 
 @pytest.fixture

@@ -15,11 +15,15 @@ from importlib.metadata import EntryPoint
 import numpy as np
 import pytest
 
-from btrank import load_chain
-from btrank.cli import _merged_options, _write_diagnostics, build_parser, main
+from btrank import (
+    build_prior, build_win_matrix, load_chain, mle_newman, save_chain, summarize, trace_export
+)
+from btrank.cli import (
+    _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main
+)
 from btrank.diagnostics import default_bandwidth
 
-from .conftest import DATA_DIR, toy_samples
+from .conftest import DATA_DIR, csv_floats, toy_samples
 
 # The btrank script of an installed package, if this environment has one.
 INSTALLED_SCRIPT = (
@@ -75,16 +79,41 @@ class TestFit:
         with open(out / "traces.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["draw", "parameter", "value"]
-        assert rows[1] == ["1", "merit0", f"{samples.merit_draws[0, 0]:.17g}"]
+        assert rows[1] == ["1", "merit0", repr(float(samples.merit_draws[0, 0]))]
         draws = [[str(t), p] for p in names for t in range(1, n + 1)]
         assert [row[:2] for row in rows[1:]] == draws
-        assert rows[n] == [str(n), "merit0", f"{samples.merit_draws[-1, 0]:.17g}"]
-        # acf.csv: lags 0..bandwidth of each parameter, same order, lag 0 exactly 1
+        assert rows[n] == [str(n), "merit0", repr(float(samples.merit_draws[-1, 0]))]
+        # acf.csv: lags 0..bandwidth of each parameter, same order, lag 0 exactly 1.0
         with open(out / "acf.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["lag", "parameter", "autocorrelation"]
         assert [row[:2] for row in rows[1:]] == [[str(k), p] for p in names for k in range(lags)]
-        assert all(row[2] == "1" for row in rows[1::lags])
+        assert all(row[2] == "1.0" for row in rows[1::lags])
+
+    def test_every_float_cell_parses_back_to_the_value_in_memory(self, tmp_path):
+        out = tmp_path / "run"
+        argv = fixture_args(out, "--export-win-matrix")
+        assert main(argv) == 0
+        options = _merged_options(build_parser().parse_args(argv), "run", None)
+        table, income = _load_tables(options)
+        w = build_win_matrix(table, options["tie_policy"])
+        kernel = _kernel_spec(options, options["length_scale"])
+        cov = build_prior(income, kernel, jitter=options["jitter"])
+        samples = load_chain(out / "chain.npz")
+
+        def same(path, column, values):
+            # == on every cell, NaN matching NaN
+            assert np.array_equal(csv_floats(out / path, column), values, equal_nan=True)
+
+        trace, acf, _ = trace_export(samples, "all", cov=cov, wins=w)
+        same("traces.csv", "value", trace)
+        same("acf.csv", "autocorrelation", acf)
+        ranking = summarize(samples, w.entities, level=options["level"], mle_merits=mle_newman(w))
+        for column in ("mean", "sd", "ci_low", "ci_high", "rank", "mle_rank"):
+            same("ranking.csv", column, getattr(ranking, column))
+        off_diagonal = ~np.eye(w.m, dtype=bool)
+        same("win_matrix.csv", "wins", w.wins[off_diagonal])
+        same("win_matrix.csv", "comparisons", w.comparisons[off_diagonal])
 
     def test_same_seed_reproduces_outputs_byte_for_byte(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -193,8 +222,9 @@ class TestDiagnose:
 
     def test_memory_per_kept_draw_is_bounded(self, tmp_path):
         # Peak traced bytes of the diagnostics outputs at M=33, every parameter
-        # traced.  Measured: 2.66 MB at 8,000 kept draws against 0.81 MB at
-        # 2,000, or 309 B per extra draw.  Building one row tuple per draw and
+        # traced.  Measured: 4.27 MB at 8,000 kept draws against 1.12 MB at
+        # 2,000, or 525 B per extra draw, set by diagnose; the trace column
+        # and its CSV rows peak at 304 B.  Building one row tuple per draw and
         # parameter took 34.8 MB against 8.7 MB, or 4,356 B per draw.
         options = {"threshold": 1e-8, "bandwidth": None, "window": None, "trace_params": "all"}
         rng = np.random.default_rng(21)
@@ -211,6 +241,17 @@ class TestDiagnose:
             finally:
                 tracemalloc.stop()
         assert (peaks[8_000] - peaks[2_000]) / 6_000 < 1_000
+
+    def test_non_finite_draw_in_a_dump_is_named(self, tmp_path, capsys):
+        samples = toy_samples(np.random.default_rng(4).standard_normal((500, 4)))
+        samples.merit_draws[123, 2] = np.nan  # in place, past the constructor's check
+        dump = tmp_path / "chain.npz"
+        save_chain(samples, dump)
+        code = main(["diagnose", str(dump), "--out", str(tmp_path / "diag")])
+        assert code == 1
+        assert f"corrupt or unreadable chain dump {dump}: non-finite merit draws" in (
+            capsys.readouterr().err
+        )
 
     def test_corrupt_dump_maps_to_the_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"

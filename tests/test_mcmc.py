@@ -272,6 +272,20 @@ class TestChainSamplesValidation:
                 config=SamplerConfig(beta=0.2, iterations=10),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_variance_draws_are_an_error(self, bad):
+        variance_draws = np.ones(4)
+        variance_draws[2] = bad
+        with pytest.raises(ValueError, match="non-finite variance draws"):
+            ChainSamples(
+                merit_draws=np.zeros((4, 3)),
+                variance_draws=variance_draws,
+                accepted=1,
+                proposed=4,
+                accept_flags=np.zeros(4, dtype=bool),
+                config=SamplerConfig(beta=0.2, iterations=10),
+            )
+
 
 class TestPersistence:
     def make_samples(self, toy_wins, toy_prior, seed=13):

@@ -18,6 +18,8 @@ from btrank import (
 )
 from btrank.sim import STUDY_COLUMNS, write_study_csv
 
+from .conftest import csv_floats
+
 
 class TestSimulateWinMatrix:
     def test_contest_counts_are_exact(self):
@@ -176,3 +178,20 @@ class TestWriteStudyCsv:
         with open(path, newline="", encoding="utf-8") as handle:
             parsed = list(csv.reader(handle))
         assert math.isnan(float(parsed[2][3]))
+
+    @pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
+    def test_every_cell_parses_back_to_the_row_value(self, tmp_path):
+        # three entities and two contests a pair: some cells are NaN, most are not
+        rows = run_recovery_study(
+            SimStudySpec(m=3, k_comparisons=2, replications=3, length_scales=(0.3, 0.7), seed=5),
+            SamplerConfig(beta=0.3, iterations=500, fix_variance=1.0),
+        )
+        path = tmp_path / "study.csv"
+        write_study_csv(rows, path)
+        values = {key: [row[key] for row in rows] for key in STUDY_COLUMNS}
+        assert np.isnan(values["rmse"]).any() and np.isfinite(values["rmse"]).any()
+        for key in ("replication", "length_scale", "spearman", "pearson", "rmse", "kendall"):
+            # == on every cell, NaN matching NaN
+            assert np.array_equal(csv_floats(path, key), values[key], equal_nan=True), key
+        with open(path, newline="", encoding="utf-8") as handle:
+            assert [row["method"] for row in csv.DictReader(handle)] == values["method"]
