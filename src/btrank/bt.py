@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.special import expit
 
 from .wins import PairList, WinMatrix
 
@@ -13,13 +13,26 @@ from .wins import PairList, WinMatrix
 LOGLIK_CHUNK = 512
 
 
+def _expit(x: float) -> float:
+    """Logistic function ``1 / (1 + exp(-x))`` with the C library's ``exp``.
+
+    ``math.exp`` is that ``exp``; numpy's vectorised ``exp`` differs from it
+    in the last bit on some inputs, which would move the simulated wins.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        # exp(-x) is past the largest double, where C's exp gives inf
+        return 0.0
+
+
 def win_probability(merit_i: float, merit_j: float) -> float:
     """Probability that the entity with merit ``merit_i`` beats ``merit_j``.
 
     Depends only on the merit difference, so a common shift of both merits
     leaves the probability unchanged.
     """
-    return float(expit(merit_i - merit_j))
+    return _expit(float(merit_i - merit_j))
 
 
 def _pair_log_likelihood(merits: np.ndarray, diff: np.ndarray, pairs: PairList) -> np.ndarray:
@@ -55,6 +68,22 @@ def log_likelihood(merits: np.ndarray, w: WinMatrix):
     return out
 
 
+def _count_components(adjacency: np.ndarray) -> int:
+    """Connected components of the undirected graph with this boolean adjacency."""
+    adjacency = adjacency | adjacency.T
+    unseen = np.ones(len(adjacency), dtype=bool)
+    n_parts = 0
+    while unseen.any():
+        # grow one component from its first unseen entity, a frontier at a time
+        n_parts += 1
+        frontier = np.zeros_like(unseen)
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = adjacency[frontier].any(axis=0) & unseen
+    return n_parts
+
+
 def _check_mle_exists(w: WinMatrix) -> None:
     totals_won = w.wins.sum(axis=1)
     totals_lost = w.wins.sum(axis=0)
@@ -67,7 +96,7 @@ def _check_mle_exists(w: WinMatrix) -> None:
             raise RuntimeError(
                 f"entity {name!r} has no losses, so the maximum likelihood merits do not exist"
             )
-    n_parts, _ = connected_components(w.comparisons > 0, directed=False)
+    n_parts = _count_components(w.comparisons > 0)
     if n_parts > 1:
         raise RuntimeError(
             f"comparison graph is disconnected ({n_parts} components); merits are not jointly identifiable"

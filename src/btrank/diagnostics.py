@@ -39,29 +39,38 @@ def _check_bandwidth(bandwidth: int, n: int) -> int:
     return bandwidth
 
 
-def _centred(draws, pad: int = 0) -> np.ndarray:
-    """Column-centred ``(N, M)`` draws with ``pad`` rows of zeros above and below."""
+def _as_draws(draws) -> np.ndarray:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
         raise ValueError("draws must be a 2-D array of shape (N, M)")
-    n = len(draws)
-    if n < 2:
+    if len(draws) < 2:
         raise ValueError("need at least 2 draws")
+    return draws
+
+
+def _centred(draws, pad: int = 0) -> np.ndarray:
+    """Column-centred ``(N, M)`` draws with ``pad`` rows of zeros above and below."""
+    draws = _as_draws(draws)
+    n = len(draws)
     out = np.zeros((n + 2 * pad, draws.shape[1]))
     np.subtract(draws, draws.mean(axis=0), out=out[pad : pad + n])
     return out
 
 
+def _covariance(gram: np.ndarray, n: int) -> np.ndarray:
+    # two steps, not one divisor: the ESS determinant ratio turns a last-bit
+    # change here into ~5e-13 relative
+    return gram / n * (n / (n - 1.0))
+
+
 def sample_covariance(draws: np.ndarray) -> np.ndarray:
     """Sample covariance of the draws with the usual N - 1 divisor."""
     centred = _centred(draws)
-    n = len(centred)
-    # two steps, not one divisor: the ESS determinant ratio turns a last-bit
-    # change here into ~5e-13 relative
-    return centred.T @ centred / n * (n / (n - 1.0))
+    return _covariance(centred.T @ centred, len(centred))
 
 
-def spectral_longrun(draws: np.ndarray, bandwidth: int, return_flag: bool = False):
+def spectral_longrun(draws: np.ndarray, bandwidth: int, return_flag: bool = False,
+                     covariance_out: np.ndarray | None = None):
     """Bartlett-windowed long-run covariance estimate.
 
     The sample covariance plus the lag-``k`` autocovariances (divisor N),
@@ -71,12 +80,17 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int, return_flag: bool = Fals
     sum is the Gram matrix of the window sums, formed ``LONGRUN_BLOCK``
     windows at a time.  Materially negative eigenvalues are floored at zero;
     ``return_flag`` additionally reports whether that flooring occurred.
+    ``covariance_out``, an ``(M, M)`` array, receives the
+    :func:`sample_covariance` of the draws, formed from the same centred
+    draws instead of a second centred copy.
     """
     n = len(draws)
     b = _check_bandwidth(bandwidth, n)
     padded = _centred(draws, pad=b)
     centred = padded[b : b + n]
     gram = centred.T @ centred
+    if covariance_out is not None:
+        covariance_out[...] = _covariance(gram, n)
     # after the running sum, padded[i] - padded[i - b] sums the b rows ending
     # at row i; the windows ending at rows b .. n + 2b - 2 hold a draw
     np.cumsum(padded, axis=0, out=padded)
@@ -131,13 +145,13 @@ def _cap_ess(ess: float, n: int) -> tuple[float, bool]:
 
 def _ess(draws, threshold: float, bandwidth: int | None):
     """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
-    draws = np.asarray(draws, dtype=float)
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    n = len(draws)
+    draws = _as_draws(draws)
+    n, m = draws.shape
     b = default_bandwidth(n) if bandwidth is None else int(bandwidth)
-    sigma = sample_covariance(draws)
-    longrun, floored = spectral_longrun(draws, b, return_flag=True)
+    sigma = np.empty((m, m))
+    longrun, floored = spectral_longrun(draws, b, return_flag=True, covariance_out=sigma)
     ess, rank_est = _ess_core(sigma, longrun, n, threshold)
     ess, capped = _cap_ess(ess, n)
     return ess, rank_est, b, floored, capped

@@ -6,10 +6,8 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import pearsonr, spearmanr
 
-from .bt import mle_newman
+from .bt import _expit, mle_newman
 from .data import write_csv
 from .diagnostics import kendall_tau_distance, rank_entities
 from .mcmc import SamplerConfig, posterior_mean, run_chain
@@ -63,17 +61,46 @@ def simulate_win_matrix(true_merits: np.ndarray, k: int, rng: np.random.Generato
     m = len(true_merits)
     # one binomial draw per pair i < j, in row order
     i, j = np.triu_indices(m, 1)
-    won = rng.binomial(k, expit(true_merits[i] - true_merits[j]))
+    won = rng.binomial(k, [_expit(d) for d in (true_merits[i] - true_merits[j]).tolist()])
     wins = np.zeros((m, m))
     wins[i, j], wins[j, i] = won, k - won
     entities = tuple(f"item{n:02d}" for n in range(m))
     return WinMatrix(entities=entities, wins=wins, comparisons=(wins + wins.T).astype(np.int64))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n by ascending value, tied values sharing the mean of their ranks."""
+    sorted_x = np.sort(x)
+    # a value's ties occupy the sorted positions from its left to its right insertion point
+    return 0.5 * (np.searchsorted(sorted_x, x, "left") + np.searchsorted(sorted_x, x, "right") + 1)
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rank correlation: Pearson's of the average ranks, NaN if an input is constant."""
+    if (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    ranked = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's correlation, clipped to [-1, 1] and exactly +-1 for two points; NaN if an input is constant."""
+    if (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    unit = []
+    for v in (x, y):
+        centred = v - v.mean()
+        vmax = np.abs(centred).max()
+        # the norm scaled by the largest deviation, so large values cannot overflow
+        unit.append(centred / (vmax * np.sqrt(np.add.reduce((centred / vmax) ** 2))))
+    r = np.clip(np.vecdot(*unit), -1.0, 1.0)
+    return float(np.round(r) if len(x) == 2 else r)
+
+
 def _metric_row(replication: int, length_scale: float, method: str,
                 truth: np.ndarray, estimate: np.ndarray) -> dict:
-    spearman = float(spearmanr(truth, estimate)[0])
-    pearson = float(pearsonr(truth, estimate)[0])
+    spearman = _spearman(truth, estimate)
+    pearson = _pearson(truth, estimate)
     rmse = float(np.sqrt(np.mean((estimate - truth) ** 2)))
     kendall = int(kendall_tau_distance(rank_entities(truth), rank_entities(estimate)))
     return {

@@ -108,6 +108,15 @@ class TestSpectralLongrun:
         _, floored = spectral_longrun(draws, 7, return_flag=True)
         assert floored is False
 
+    def test_covariance_out_is_the_sample_covariance_bit_for_bit(self):
+        # the ESS takes its sample covariance from here; an offset makes the
+        # centring matter
+        draws = ar1(3000, 5, 0.8, np.random.default_rng(6)) + 5.0
+        sigma = np.empty((5, 5))
+        longrun = spectral_longrun(draws, 14, covariance_out=sigma)
+        assert np.array_equal(sigma, sample_covariance(draws))
+        assert np.array_equal(longrun, spectral_longrun(draws, 14))
+
     def test_bandwidth_bounds(self):
         draws = np.random.default_rng(0).standard_normal((20, 2))
         with pytest.raises(ValueError, match="bandwidth"):

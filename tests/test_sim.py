@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from btrank import (
     run_recovery_study,
     simulate_win_matrix,
 )
-from btrank.sim import STUDY_COLUMNS, write_study_csv
+from btrank.sim import STUDY_COLUMNS, _metric_row, write_study_csv
 
 from .conftest import csv_floats
 
@@ -153,6 +154,14 @@ class TestRunRecoveryStudy:
         assert math.isfinite(bayes["rmse"])
         assert math.isnan(mle["rmse"]) and math.isnan(mle["spearman"])
 
+    def test_a_constant_estimate_scores_nan_correlations_without_warning(self):
+        truth = np.array([0.6, -0.1, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = _metric_row(0, 0.5, "bayes", truth, np.zeros(3))
+        assert math.isnan(row["spearman"]) and math.isnan(row["pearson"])
+        assert row["rmse"] == math.sqrt(np.mean(truth**2))
+
 
 class TestWriteStudyCsv:
     def test_round_trip(self, tmp_path):
@@ -179,7 +188,6 @@ class TestWriteStudyCsv:
             parsed = list(csv.reader(handle))
         assert math.isnan(float(parsed[2][3]))
 
-    @pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
     def test_every_cell_parses_back_to_the_row_value(self, tmp_path):
         # three entities and two contests a pair: some cells are NaN, most are not
         rows = run_recovery_study(
