@@ -6,11 +6,7 @@ import math
 
 import numpy as np
 
-from .wins import PairList, WinMatrix
-
-# draws per batched likelihood evaluation; at M=33 (528 compared pairs) each
-# (chunk, P) temporary takes about 2 MB
-LOGLIK_CHUNK = 512
+from .wins import WinMatrix
 
 
 def _expit(x: float) -> float:
@@ -35,37 +31,21 @@ def win_probability(merit_i: float, merit_j: float) -> float:
     return _expit(float(merit_i - merit_j))
 
 
-def _pair_log_likelihood(merits: np.ndarray, diff: np.ndarray, pairs: PairList) -> np.ndarray:
-    # score . merits - counts . log(1 + exp(diff)) along the last axis, where diff holds
-    # m_j - m_i per compared pair; vecdot reduces every row alike, so a row of a batch
-    # matches the vector result bit for bit
-    return np.vecdot(merits, pairs.score) - np.vecdot(np.logaddexp(0.0, diff), pairs.counts)
+def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
+    """Bradley-Terry log-likelihood of a merit vector of shape ``(M,)``.
 
-
-def log_likelihood(merits: np.ndarray, w: WinMatrix):
-    """Bradley-Terry log-likelihood of a merit vector, or of each row of a draw array.
-
-    A vector of shape ``(M,)`` gives a float; draws of shape ``(N, M)`` give an
-    ``(N,)`` array, evaluated ``LOGLIK_CHUNK`` draws at a time so the
-    ``(chunk, P)`` temporaries over the P compared pairs stay small.
     Binomial coefficients are constant in the merits and omitted.  Each pair
     ``i < j`` contributes ``wins[i,j] log pi_ij + wins[j,i] log pi_ji``,
     written as ``wins[j,i] (m_j - m_i) - comparisons[i,j] log(1 + exp(m_j - m_i))``
-    and evaluated with ``logaddexp``, so large merit gaps stay finite.
+    and evaluated with ``logaddexp`` over the compared pairs only, so large
+    merit gaps stay finite.
     """
     merits = np.asarray(merits, dtype=float)
-    if merits.ndim not in (1, 2) or merits.shape[-1] != w.m:
-        raise ValueError(f"merits must have shape {(w.m,)} or (N, {w.m}), got {merits.shape}")
+    if merits.shape != (w.m,):
+        raise ValueError(f"merits must have shape {(w.m,)}, got {merits.shape}")
     pairs = w.pairs
-    if merits.ndim == 1:
-        return float(_pair_log_likelihood(merits, merits[pairs.j] - merits[pairs.i], pairs))
-    out = np.empty(len(merits))
-    for start in range(0, len(merits), LOGLIK_CHUNK):
-        chunk = merits[start : start + LOGLIK_CHUNK]
-        # take keeps the rows contiguous, as vecdot's bit-for-bit match needs
-        diff = chunk.take(pairs.j, axis=1) - chunk.take(pairs.i, axis=1)
-        out[start : start + len(chunk)] = _pair_log_likelihood(chunk, diff, pairs)
-    return out
+    loss = np.vecdot(np.logaddexp(0.0, merits[pairs.j] - merits[pairs.i]), pairs.counts)
+    return float(np.vecdot(merits, pairs.score) - loss)
 
 
 def _count_components(adjacency: np.ndarray) -> int:

@@ -186,7 +186,7 @@ def _out_dir(options) -> Path:
     return out
 
 
-def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None, wins=None):
+def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None):
     report = diagnose(
         samples,
         threshold=options["threshold"],
@@ -199,9 +199,7 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None, wins=
     params = options["trace_params"]
     if params != "all":
         params = _csv_list(params)
-    trace, acf, names = trace_export(
-        samples, params, cov=cov, wins=wins, bandwidth=options["bandwidth"]
-    )
+    trace, acf, names = trace_export(samples, params, cov=cov, bandwidth=options["bandwidth"])
     write_csv(out / "traces.csv", ["draw", "parameter", "value"], long_rows(trace, names, 1))
     write_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], long_rows(acf, names, 0))
     write_csv(out / "kendall.csv", ["draw", "distance"], report.kendall_series)
@@ -242,7 +240,7 @@ def cmd_fit(args) -> int:
         metadata={"jitter_applied": cov.jitter_applied, "entities": list(w.entities)},
     )
     report = _write_diagnostics(
-        out, samples, options, {"jitter_applied": cov.jitter_applied}, cov=cov, wins=w
+        out, samples, options, {"jitter_applied": cov.jitter_applied}, cov=cov
     )
 
     baseline = None

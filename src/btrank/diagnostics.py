@@ -8,10 +8,8 @@ from itertools import chain, count, repeat
 
 import numpy as np
 
-from .bt import log_likelihood
 from .mcmc import ChainSamples
 from .prior import ConstrainedCovariance
-from .wins import WinMatrix
 
 # multiplier shared by the effective-sample-size estimators
 ESS_CAP_FACTOR = 1.5
@@ -294,13 +292,13 @@ def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov / acov[0]
 
 
-def _resolve_params(samples: ChainSamples, params, cov, wins) -> list[str]:
+def _resolve_params(samples: ChainSamples, params, cov) -> list[str]:
     merit_names = [f"merit{i}" for i in range(samples.m)]
     if params == "all":
         names = list(merit_names) + ["variance"]
         if cov is not None:
             names.append("quad_form")
-        if wins is not None:
+        if samples.loglik_draws is not None:
             names.append("loglik")
         return names
     valid = set(merit_names) | {"variance", "quad_form", "loglik"}
@@ -310,24 +308,25 @@ def _resolve_params(samples: ChainSamples, params, cov, wins) -> list[str]:
             raise ValueError(f"unknown trace parameter {name!r}")
         if name == "quad_form" and cov is None:
             raise ValueError("quad_form requires the constrained covariance")
-        if name == "loglik" and wins is None:
-            raise ValueError("loglik requires the win matrix")
+        if name == "loglik" and samples.loglik_draws is None:
+            raise ValueError("loglik requires a chain that recorded its log-likelihood")
     return names
 
 
 def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance | None = None,
-                 wins: WinMatrix | None = None, bandwidth: int | None = None):
+                 bandwidth: int | None = None):
     """Trace and autocorrelation columns for external plotting.
 
     ``params`` selects among the merit components (``merit0`` ...),
-    ``variance``, ``quad_form`` (which needs ``cov``), and ``loglik`` (which
-    needs ``wins``), or ``"all"`` for everything computable from the inputs
-    given.  Returns ``(trace, acf, names)``: ``trace`` holds every kept draw
-    of each parameter in ``names``, one parameter after the other, and
-    ``acf`` holds each parameter's autocorrelations at lags 0 to the
-    bandwidth (at most ``n_kept - 1``) in the same order.
+    ``variance``, ``quad_form`` (which needs ``cov``), and ``loglik`` (the
+    chain's own log-likelihood, which needs ``samples.loglik_draws``), or
+    ``"all"`` for everything available from the inputs given.  Returns
+    ``(trace, acf, names)``: ``trace`` holds every kept draw of each
+    parameter in ``names``, one parameter after the other, and ``acf`` holds
+    each parameter's autocorrelations at lags 0 to the bandwidth (at most
+    ``n_kept - 1``) in the same order.
     """
-    names = _resolve_params(samples, params, cov, wins)
+    names = _resolve_params(samples, params, cov)
     n = samples.n_kept
     if n < 1:
         raise ValueError("chain has no kept draws")
@@ -342,7 +341,7 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
                 "ni,ij,nj->n", samples.merit_draws, cov.pinv, samples.merit_draws
             )
         else:
-            series[name] = log_likelihood(samples.merit_draws, wins)
+            series[name] = samples.loglik_draws
 
     b = default_bandwidth(n) if bandwidth is None else _check_bandwidth(bandwidth, n)
     max_lag = min(b, n - 1)

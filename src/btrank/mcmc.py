@@ -67,7 +67,10 @@ class ChainSamples:
     """Post-burn-in draws plus acceptance bookkeeping.
 
     ``accept_flags`` records the accept/reject outcome of every post-burn-in
-    proposal, before thinning, so ``accepted`` can always be recounted.
+    proposal, before thinning, and ``accepted`` must equal their count.
+    ``loglik_draws`` holds the chain's own log-likelihood of each kept merit
+    draw; it is ``None`` for a chain that did not record it, such as a dump
+    written before it was recorded.
     """
 
     merit_draws: np.ndarray
@@ -76,18 +79,23 @@ class ChainSamples:
     proposed: int
     accept_flags: np.ndarray
     config: SamplerConfig
+    loglik_draws: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.accepted <= self.proposed:
             raise ValueError("accepted must lie between 0 and proposed")
         if self.accept_flags.shape != (self.proposed,):
             raise ValueError("accept_flags must have one entry per post-burn-in proposal")
-        if self.merit_draws.ndim != 2 or len(self.merit_draws) != len(self.variance_draws):
+        if self.accepted != int(self.accept_flags.sum()):
+            raise ValueError("accepted must equal the number of set accept_flags")
+        if self.merit_draws.ndim != 2 or self.variance_draws.shape != (self.n_kept,):
             raise ValueError("merit and variance draws must have matching lengths")
-        if not np.isfinite(self.merit_draws).all():
-            raise ValueError("non-finite merit draws")
-        if not np.isfinite(self.variance_draws).all():
-            raise ValueError("non-finite variance draws")
+        if self.loglik_draws is not None and self.loglik_draws.shape != (self.n_kept,):
+            raise ValueError("loglik draws must have one entry per kept merit draw")
+        for name in ("merit", "variance", "loglik"):
+            draws = getattr(self, f"{name}_draws")
+            if draws is not None and not np.isfinite(draws).all():
+                raise ValueError(f"non-finite {name} draws")
 
     @property
     def n_kept(self) -> int:
@@ -122,7 +130,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     (unless pinned) and then makes one preconditioned Crank-Nicolson move on
     the merits.  The chain starts from zero merits and unit variance; draws
     are recorded after ``config.burn_in`` iterations, every ``config.thin``-th
-    proposal.
+    proposal, each with the log-likelihood the accept test computed for it.
 
     The state is kept in whitened coordinates ``u`` in R^rank, with
     ``merits = cov.factor @ u``.  Since ``factor' pinv factor`` is the
@@ -153,6 +161,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     n_kept = -(-n_post // thin)
     merit_draws = np.empty((n_kept, w.m))
     variance_draws = np.empty(n_kept)
+    loglik_draws = np.empty(n_kept)
     accept_flags = np.zeros(n_post, dtype=bool)
     kept = 0
 
@@ -180,6 +189,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
                 if offset % thin == 0:
                     merit_draws[kept] = merits
                     variance_draws[kept] = variance
+                    loglik_draws[kept] = loglik
                     kept += 1
 
     return ChainSamples(
@@ -189,6 +199,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
         proposed=n_post,
         accept_flags=accept_flags,
         config=config,
+        loglik_draws=loglik_draws,
     )
 
 
@@ -208,9 +219,9 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
     """Write draws and metadata to a zipped numpy archive.
 
     Zip entry timestamps are pinned, so identical samples produce
-    byte-identical files.  ``metadata`` may carry extra JSON-serializable
-    context (for example prior flags) retrievable via
-    ``read_chain_metadata``.
+    byte-identical files.  ``loglik_draws`` is written only when set.
+    ``metadata`` may carry extra JSON-serializable context (for example
+    prior flags) retrievable via ``read_chain_metadata``.
     """
     meta = {
         "config": asdict(samples.config),
@@ -223,6 +234,8 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
         "variance_draws": samples.variance_draws,
         "accept_flags": samples.accept_flags,
     }
+    if samples.loglik_draws is not None:
+        arrays["loglik_draws"] = samples.loglik_draws
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
         for name, array in arrays.items():
             buffer = io.BytesIO()
@@ -246,22 +259,21 @@ def read_chain_metadata(path) -> dict:
 
 
 def load_chain(path) -> ChainSamples:
-    """Reconstruct ChainSamples from a dump written by ``save_chain``."""
+    """Reconstruct ChainSamples from a dump written by ``save_chain``.
+
+    Each array entry fills the field of its name, so a dump without a
+    ``loglik_draws`` entry loads with ``loglik_draws=None``.
+    """
     path = Path(path)
     try:
         meta = _read_meta(path)
         with np.load(path) as archive:
-            merit_draws = archive["merit_draws"]
-            variance_draws = archive["variance_draws"]
-            accept_flags = archive["accept_flags"]
-        config = _config_from_dict(meta["config"])
+            arrays = {name: archive[name] for name in archive.files if name != "meta.json"}
         return ChainSamples(
-            merit_draws=merit_draws,
-            variance_draws=variance_draws,
             accepted=int(meta["accepted"]),
             proposed=int(meta["proposed"]),
-            accept_flags=accept_flags,
-            config=config,
+            config=_config_from_dict(meta["config"]),
+            **arrays,
         )
     except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt or unreadable chain dump {path}: {exc}") from exc

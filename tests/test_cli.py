@@ -23,7 +23,7 @@ from btrank.cli import (
 )
 from btrank.diagnostics import default_bandwidth
 
-from .conftest import DATA_DIR, csv_floats, toy_samples
+from .conftest import DATA_DIR, csv_floats, rewrite_dump, toy_samples
 
 # The btrank script of an installed package, if this environment has one.
 INSTALLED_SCRIPT = (
@@ -105,7 +105,7 @@ class TestFit:
             # == on every cell, NaN matching NaN
             assert np.array_equal(csv_floats(out / path, column), values, equal_nan=True)
 
-        trace, acf, _ = trace_export(samples, "all", cov=cov, wins=w)
+        trace, acf, _ = trace_export(samples, "all", cov=cov)
         same("traces.csv", "value", trace)
         same("acf.csv", "autocorrelation", acf)
         ranking = summarize(samples, w.entities, level=options["level"], mle_merits=mle_newman(w))
@@ -204,6 +204,43 @@ class TestDiagnose:
         original = json.loads((fit_out / "diagnostics.json").read_text(encoding="utf-8"))
         recomputed = json.loads((diag_out / "diagnostics.json").read_text(encoding="utf-8"))
         assert recomputed == original
+
+    def test_writes_the_fits_loglik_rows(self, tmp_path):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        assert main(["diagnose", str(fit_out / "chain.npz"), "--out", str(diag_out)]) == 0
+        for name in ("traces.csv", "acf.csv"):
+            fit_rows, diag_rows = (
+                [line for line in (out / name).read_text(encoding="utf-8").splitlines()
+                 if ",loglik," in line]
+                for out in (fit_out, diag_out)
+            )
+            assert len(fit_rows) > 1
+            assert diag_rows == fit_rows, name
+
+    def test_dump_without_loglik_writes_merit_and_variance_rows(self, tmp_path):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        dump = fit_out / "chain.npz"
+        rewrite_dump(dump, drop=("loglik_draws.npy",))
+        assert main(["diagnose", str(dump), "--out", str(diag_out)]) == 0
+        for name in ("traces.csv", "acf.csv"):
+            with open(diag_out / name, newline="", encoding="utf-8") as handle:
+                parameters = {row["parameter"] for row in csv.DictReader(handle)}
+            assert parameters == {f"merit{i}" for i in range(33)} | {"variance"}, name
+
+    def test_accepted_that_disagrees_with_the_flags_maps_to_the_validation_exit_code(
+        self, tmp_path, capsys
+    ):
+        fit_out = tmp_path / "fit"
+        assert main(fixture_args(fit_out)) == 0
+        dump = fit_out / "chain.npz"
+        rewrite_dump(dump, accepted=load_chain(dump).accepted + 1)
+        code = main(["diagnose", str(dump), "--out", str(tmp_path / "diag")])
+        assert code == 1
+        assert f"corrupt or unreadable chain dump {dump}: accepted must equal" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_dump_maps_to_the_io_exit_code(self, tmp_path, capsys):
         code = main(["diagnose", str(tmp_path / "absent.npz"), "--out", str(tmp_path)])

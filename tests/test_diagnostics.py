@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -18,18 +19,20 @@ from btrank import (
     build_prior,
     diagnose,
     kendall_tau_distance,
+    load_chain,
     multivariate_ess,
     rank_entities,
     rank_stability_series,
     run_chain,
     sample_covariance,
+    save_chain,
     spectral_longrun,
     trace_export,
     univariate_ess,
 )
 from btrank.diagnostics import _ess_core, default_bandwidth, long_rows
 
-from .conftest import make_income, toy_samples
+from .conftest import make_income, rewrite_dump, toy_samples
 
 
 def ar1(n: int, m: int, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -385,6 +388,24 @@ class TestTraceExport:
             trace_export(self.samples, params="loglik")
         with pytest.raises(ValueError, match="unknown trace parameter"):
             trace_export(self.samples, params="merit9")
+
+    def test_loglik_is_the_recorded_column(self):
+        loglik_draws = np.random.default_rng(14).standard_normal(60)
+        samples = dataclasses.replace(self.samples, loglik_draws=loglik_draws)
+        trace, _, names = trace_export(samples)
+        assert names == ["merit0", "merit1", "merit2", "variance", "loglik"]
+        np.testing.assert_array_equal(trace[240:], loglik_draws)
+
+    def test_dump_without_loglik_exports_no_loglik(self, tmp_path, toy_wins, toy_prior):
+        config = SamplerConfig(beta=0.2, iterations=300, seed=9)
+        path = tmp_path / "chain.npz"
+        save_chain(run_chain(toy_wins, toy_prior, config), path)
+        rewrite_dump(path, drop=("loglik_draws.npy",))
+        samples = load_chain(path)
+        _, _, names = trace_export(samples)
+        assert names == [f"merit{i}" for i in range(toy_wins.m)] + ["variance"]
+        with pytest.raises(ValueError, match="loglik requires a chain that recorded"):
+            trace_export(samples, "loglik")
 
     def test_quad_form_matches_the_direct_quadratic(self):
         cov = build_prior(make_income(3), KernelSpec("squared_exponential", 0.5))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from btrank import (
     build_prior,
     gibbs_variance,
     load_chain,
+    log_likelihood,
     posterior_mean,
     run_chain,
     sample_constrained,
@@ -23,7 +25,7 @@ from btrank import (
 from btrank import mcmc
 from btrank.mcmc import BLOCK, read_chain_metadata
 
-from .conftest import make_income
+from .conftest import make_income, rewrite_dump, toy_samples
 
 
 def flat_wins(m: int) -> WinMatrix:
@@ -209,6 +211,18 @@ class TestWhitenedKernel:
         np.testing.assert_array_equal(a.variance_draws, every.variance_draws[BLOCK - 6 :: 3])
         np.testing.assert_array_equal(a.accept_flags, every.accept_flags[BLOCK - 6 :])
 
+    @pytest.mark.parametrize("fix_variance", [None, 0.7])
+    @pytest.mark.parametrize("iterations", [BLOCK - 1, BLOCK + 1])
+    def test_recorded_loglik_is_the_likelihood_of_each_kept_draw(
+        self, toy_wins, toy_prior, iterations, fix_variance
+    ):
+        config = SamplerConfig(beta=0.2, iterations=iterations, burn_in=BLOCK - 6, thin=3,
+                               seed=5, fix_variance=fix_variance)
+        samples = run_chain(toy_wins, toy_prior, config)
+        assert samples.loglik_draws.shape == (samples.n_kept,)
+        expected = [log_likelihood(row, toy_wins) for row in samples.merit_draws]
+        assert samples.loglik_draws.tolist() == expected
+
     def test_a_new_block_leaves_the_earlier_draws_alone(self, toy_wins, toy_prior):
         config = SamplerConfig(beta=0.2, iterations=BLOCK, burn_in=BLOCK - 6, thin=3, seed=5)
         one = run_chain(toy_wins, toy_prior, config)
@@ -261,6 +275,18 @@ class TestChainSamplesValidation:
                 config=SamplerConfig(beta=0.2, iterations=10),
             )
 
+    @pytest.mark.parametrize("accepted", [1, 3])
+    def test_accepted_must_count_the_accept_flags(self, accepted):
+        with pytest.raises(ValueError, match="number of set accept_flags"):
+            ChainSamples(
+                merit_draws=np.zeros((2, 3)),
+                variance_draws=np.ones(2),
+                accepted=accepted,
+                proposed=5,
+                accept_flags=np.array([True, False, True, False, False]),
+                config=SamplerConfig(beta=0.2, iterations=10),
+            )
+
     def test_accepted_bounded_by_proposed(self):
         with pytest.raises(ValueError, match="accepted"):
             ChainSamples(
@@ -280,11 +306,23 @@ class TestChainSamplesValidation:
             ChainSamples(
                 merit_draws=np.zeros((4, 3)),
                 variance_draws=variance_draws,
-                accepted=1,
+                accepted=0,
                 proposed=4,
                 accept_flags=np.zeros(4, dtype=bool),
                 config=SamplerConfig(beta=0.2, iterations=10),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loglik_draws_are_an_error(self, bad):
+        loglik_draws = np.zeros(4)
+        loglik_draws[1] = bad
+        with pytest.raises(ValueError, match="non-finite loglik draws"):
+            dataclasses.replace(toy_samples(np.zeros((4, 3))), loglik_draws=loglik_draws)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+    def test_loglik_draws_need_one_entry_per_kept_draw(self, shape):
+        with pytest.raises(ValueError, match="loglik draws must have one entry per kept"):
+            dataclasses.replace(toy_samples(np.zeros((4, 3))), loglik_draws=np.zeros(shape))
 
 
 class TestPersistence:
@@ -300,6 +338,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.merit_draws, samples.merit_draws)
         np.testing.assert_array_equal(loaded.variance_draws, samples.variance_draws)
         np.testing.assert_array_equal(loaded.accept_flags, samples.accept_flags)
+        assert loaded.loglik_draws.tobytes() == samples.loglik_draws.tobytes()
         assert loaded.accepted == samples.accepted
         assert loaded.proposed == samples.proposed
         assert loaded.config == samples.config
@@ -325,4 +364,47 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="corrupt or unreadable"):
+            load_chain(path)
+
+    def test_dump_without_loglik_loads_with_none(self, tmp_path, toy_wins, toy_prior):
+        samples = self.make_samples(toy_wins, toy_prior)
+        path = tmp_path / "chain.npz"
+        save_chain(samples, path)
+        rewrite_dump(path, drop=("loglik_draws.npy",))
+        with zipfile.ZipFile(path) as archive:
+            assert "loglik_draws.npy" not in archive.namelist()
+        loaded = load_chain(path)
+        assert loaded.loglik_draws is None
+        np.testing.assert_array_equal(loaded.merit_draws, samples.merit_draws)
+
+    def test_dump_without_a_required_entry_is_corrupt(self, tmp_path, toy_wins, toy_prior):
+        path = tmp_path / "chain.npz"
+        save_chain(self.make_samples(toy_wins, toy_prior), path)
+        rewrite_dump(path, drop=("variance_draws.npy",))
+        with pytest.raises(ValueError, match="corrupt or unreadable.*variance_draws"):
+            load_chain(path)
+
+    def test_loglik_entry_is_written_only_when_set(self, tmp_path, toy_wins, toy_prior):
+        samples = self.make_samples(toy_wins, toy_prior)
+        with_loglik, without = tmp_path / "with.npz", tmp_path / "without.npz"
+        save_chain(samples, with_loglik)
+        save_chain(dataclasses.replace(samples, loglik_draws=None), without)
+        with zipfile.ZipFile(with_loglik) as a, zipfile.ZipFile(without) as b:
+            assert b.namelist() == [
+                "merit_draws.npy", "variance_draws.npy", "accept_flags.npy", "meta.json"
+            ]
+            assert a.namelist() == b.namelist()[:3] + ["loglik_draws.npy", "meta.json"]
+            for name in b.namelist():
+                assert a.read(name) == b.read(name), name
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_accepted_that_disagrees_with_the_flags_is_corrupt(
+        self, tmp_path, toy_wins, toy_prior, delta
+    ):
+        samples = self.make_samples(toy_wins, toy_prior)
+        assert 0 < samples.accepted < samples.proposed
+        path = tmp_path / "chain.npz"
+        save_chain(samples, path)
+        rewrite_dump(path, accepted=samples.accepted + delta)
+        with pytest.raises(ValueError, match="corrupt or unreadable.*accept_flags"):
             load_chain(path)
