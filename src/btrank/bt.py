@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .wins import WinMatrix
+from .wins import PairList, WinMatrix
 
 
 def _expit(x: float) -> float:
@@ -31,21 +31,32 @@ def win_probability(merit_i: float, merit_j: float) -> float:
     return _expit(float(merit_i - merit_j))
 
 
+def _log_likelihood(merits: np.ndarray, pairs: PairList) -> np.ndarray:
+    """Log-likelihood of each merit vector along the last axis of ``merits``.
+
+    The softplus ``log(1 + exp(d))`` is written as ``log1p(exp(-|d|)) +
+    max(d, 0)``, which stays finite for large gaps and, unlike ``logaddexp``,
+    runs as vectorised ufuncs.  Every reduction runs along the last axis, so
+    a row's value does not depend on the other rows beside it.
+    """
+    d = merits.take(pairs.j, axis=-1) - merits.take(pairs.i, axis=-1)
+    softplus = np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0.0)
+    return np.vecdot(merits, pairs.score) - np.vecdot(softplus, pairs.counts)
+
+
 def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
     """Bradley-Terry log-likelihood of a merit vector of shape ``(M,)``.
 
     Binomial coefficients are constant in the merits and omitted.  Each pair
     ``i < j`` contributes ``wins[i,j] log pi_ij + wins[j,i] log pi_ji``,
     written as ``wins[j,i] (m_j - m_i) - comparisons[i,j] log(1 + exp(m_j - m_i))``
-    and evaluated with ``logaddexp`` over the compared pairs only, so large
-    merit gaps stay finite.
+    and evaluated over the compared pairs only, so large merit gaps stay
+    finite.
     """
     merits = np.asarray(merits, dtype=float)
     if merits.shape != (w.m,):
         raise ValueError(f"merits must have shape {(w.m,)}, got {merits.shape}")
-    pairs = w.pairs
-    loss = np.vecdot(np.logaddexp(0.0, merits[pairs.j] - merits[pairs.i]), pairs.counts)
-    return float(np.vecdot(merits, pairs.score) - loss)
+    return float(_log_likelihood(merits, w.pairs))
 
 
 def _count_components(adjacency: np.ndarray) -> int:

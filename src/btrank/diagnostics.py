@@ -18,6 +18,10 @@ ESS_CAP_FACTOR = 1.5
 # (block, M) temporary takes about 1 MB
 LONGRUN_BLOCK = 4096
 
+# draws per product in the quad_form export, so that its (block, M)
+# temporary stays small next to the draws: about 270 kB at M=33
+QUAD_FORM_BLOCK = 1024
+
 
 def default_bandwidth(n: int) -> int:
     """Bartlett window width used when none is requested: floor(N^(1/3))."""
@@ -194,9 +198,10 @@ def _fft_autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
         return np.eye(1, max_lag + 1)[0]
     n = len(x)
     centered = x - x.mean()
-    nfft = 1 << int(2 * n - 1).bit_length()
+    # a circular transform of length n + max_lag or more wraps no lag up to max_lag
+    nfft = 1 << int(n + max_lag - 1).bit_length()
     spectrum = np.fft.rfft(centered, nfft)
-    return np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1].real / n
+    return np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1] / n
 
 
 def univariate_ess(x: np.ndarray) -> float:
@@ -292,6 +297,15 @@ def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov / acov[0]
 
 
+def _quad_form(draws: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """``draw' pinv draw`` for each row, ``QUAD_FORM_BLOCK`` rows per product."""
+    quad = np.empty(len(draws))
+    for start in range(0, len(draws), QUAD_FORM_BLOCK):
+        rows = draws[start : start + QUAD_FORM_BLOCK]
+        np.vecdot(rows @ pinv, rows, out=quad[start : start + QUAD_FORM_BLOCK])
+    return quad
+
+
 def _resolve_params(samples: ChainSamples, params, cov) -> list[str]:
     merit_names = [f"merit{i}" for i in range(samples.m)]
     if params == "all":
@@ -337,9 +351,7 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
         elif name == "variance":
             series[name] = samples.variance_draws
         elif name == "quad_form":
-            series[name] = np.einsum(
-                "ni,ij,nj->n", samples.merit_draws, cov.pinv, samples.merit_draws
-            )
+            series[name] = _quad_form(samples.merit_draws, cov.pinv)
         else:
             series[name] = samples.loglik_draws
 

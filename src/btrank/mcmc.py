@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bt import log_likelihood
+from .bt import _log_likelihood
 from .prior import ConstrainedCovariance, KernelSpec
 from .wins import WinMatrix
 
@@ -21,6 +21,9 @@ _EPOCH = (1980, 1, 1, 0, 0, 0)
 # iterations whose random draws are made at once; at rank 32 the block's
 # normals take 256 kB
 BLOCK = 1024
+
+# most proposals scored in one likelihood call; it sets the speed, never the draws
+BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,15 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     from a single generator seeded with ``config.seed``, drawn ``BLOCK``
     iterations at a time: first the normals, then the standard-gamma
     variates of the Gibbs step (whose shape is constant), then the
-    acceptance uniforms.  A seed therefore reproduces its chain exactly, but
-    gives a different (equally valid) chain than versions before block draws.
+    acceptance uniforms.  A seed therefore reproduces its chain exactly.
+
+    While the chain rejects, ``u`` does not move, so the proposals and
+    accept tests of the next iterations are known in advance.  They are
+    scored together in one likelihood call, up to ``BATCH`` at a time and
+    about twice the running number of iterations per acceptance, and the
+    chain moves to the first accepted one; proposals scored past it are
+    discarded.  Every merit vector and log-likelihood is computed row by
+    row, so the draws do not depend on how the iterations were batched.
     """
     if w.m != cov.m:
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
@@ -150,12 +160,14 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     contraction = math.sqrt(1.0 - config.beta**2)
     fixed = config.fix_variance is not None
     shape = _gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
-    burn_in, thin = config.burn_in, config.thin
+    burn_in, thin, cap = config.burn_in, config.thin, BATCH
+    pairs, factor = w.pairs, cov.factor
 
     u = np.zeros(cov.rank)
+    drift = contraction * u
     merits = np.zeros(w.m)
-    variance = float(config.fix_variance) if fixed else 1.0
-    loglik = log_likelihood(merits, w)
+    loglik = _log_likelihood(merits, pairs)
+    accepted = 0
 
     n_post = config.iterations - burn_in
     n_kept = -(-n_post // thin)
@@ -163,34 +175,62 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     variance_draws = np.empty(n_kept)
     loglik_draws = np.empty(n_kept)
     accept_flags = np.zeros(n_post, dtype=bool)
-    kept = 0
 
     for start in range(0, config.iterations, BLOCK):
         size = min(BLOCK, config.iterations - start)
         noise = config.beta * rng.standard_normal((size, cov.rank))
-        gammas = None if fixed else rng.standard_gamma(shape, size).tolist()
-        log_uniforms = np.log(rng.random(size)).tolist()
-        for k in range(size):
-            t = start + k + 1
-            if not fixed:
-                variance = (config.prior_scale + float(u @ u)) / gammas[k]
-            proposal = contraction * u + math.sqrt(variance) * noise[k]
-            proposal_merits = cov.factor @ proposal
-            loglik_new = log_likelihood(proposal_merits, w)
-            if not math.isfinite(loglik_new):
-                raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
-            accept = log_uniforms[k] < loglik_new - loglik
-            if accept:
-                u, merits, loglik = proposal, proposal_merits, loglik_new
+        if fixed:
+            variances = np.full(size, float(config.fix_variance))
+            noise *= math.sqrt(config.fix_variance)
+        else:
+            gammas = rng.standard_gamma(shape, size)
+            variances = np.empty(size)
+        log_uniforms = np.log(rng.random(size))
+        # row 0 is the state the block starts from, row r its r-th acceptance
+        states = np.empty((size + 1, w.m))
+        state_logliks = np.empty(size + 1)
+        states[0], state_logliks[0] = merits, loglik
+        moves = np.zeros(size, dtype=bool)
+        n_moves = 0
 
-            if t > burn_in:
-                offset = t - burn_in - 1
-                accept_flags[offset] = accept
-                if offset % thin == 0:
-                    merit_draws[kept] = merits
-                    variance_draws[kept] = variance
-                    loglik_draws[kept] = loglik
-                    kept += 1
+        k = 0
+        while k < size:
+            stop = k + min(cap, size - k, 2 * (start + k + 2) // (accepted + 1))
+            if fixed:
+                proposals = drift + noise[k:stop]
+            else:
+                scale = config.prior_scale + float(u @ u)
+                batch_variances = np.divide(scale, gammas[k:stop], out=variances[k:stop])
+                proposals = np.sqrt(batch_variances)[:, None] * noise[k:stop]
+                proposals += drift
+            proposal_merits = np.vecdot(proposals[:, None, :], factor)
+            logliks = _log_likelihood(proposal_merits, pairs)
+            hits = log_uniforms[k:stop] < logliks - loglik
+            j = int(hits.argmax())
+            scored = j + 1 if hits[j] else stop - k
+            if not np.isfinite(logliks[:scored]).all():
+                t = start + k + int(np.isfinite(logliks).argmin()) + 1
+                raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
+            if hits[j]:
+                u, merits, loglik = proposals[j], proposal_merits[j], logliks[j]
+                drift = contraction * u
+                accepted += 1
+                n_moves += 1
+                moves[k + j] = True
+                states[n_moves], state_logliks[n_moves] = merits, loglik
+            k += scored
+
+        # iteration ``start + i + 1`` has post-burn-in offset ``first + i``
+        first = start - burn_in
+        if first + size > 0:
+            lo = max(first, 0)
+            kept = -(-lo // thin)
+            i0 = kept * thin - first
+            rows = np.cumsum(moves)[i0::thin]
+            merit_draws[kept : kept + len(rows)] = states[rows]
+            loglik_draws[kept : kept + len(rows)] = state_logliks[rows]
+            variance_draws[kept : kept + len(rows)] = variances[i0::thin]
+            accept_flags[lo : first + size] = moves[lo - first :]
 
     return ChainSamples(
         merit_draws=merit_draws,

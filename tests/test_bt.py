@@ -13,6 +13,7 @@ from btrank import (
     mle_newman,
     win_probability,
 )
+from btrank.bt import _log_likelihood
 
 from .conftest import make_table
 
@@ -110,6 +111,15 @@ class TestPairListOracle:
         assert w.comparisons[0, 2] == 0
         assert len(w.pairs.i) == 5  # the uncompared pair (0, 2) is left out
         self.check(w, seed=2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_each_row_of_a_draw_array_is_the_vector_likelihood(self, fixture_dataset, n):
+        # the sampler scores a batch of proposals at once; each row must be
+        # bit for bit the value of that row alone, whatever the batch size
+        table, _ = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+        draws = np.random.default_rng(n).normal(scale=1.5, size=(n, w.m))
+        assert _log_likelihood(draws, w.pairs).tolist() == [log_likelihood(row, w) for row in draws]
 
 
 class TestMleNewman:

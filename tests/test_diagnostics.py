@@ -30,7 +30,8 @@ from btrank import (
     trace_export,
     univariate_ess,
 )
-from btrank.diagnostics import _ess_core, default_bandwidth, long_rows
+from btrank import diagnostics
+from btrank.diagnostics import _ess_core, _fft_autocovariance, default_bandwidth, long_rows
 
 from .conftest import make_income, rewrite_dump, toy_samples
 
@@ -83,6 +84,15 @@ class TestAutocovariance:
     def test_sample_covariance_needs_two_draws(self):
         with pytest.raises(ValueError, match="at least 2"):
             sample_covariance(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("n, max_lag", [(5, 4), (64, 1), (64, 63), (65, 3), (1000, 10), (1000, 999)])
+    def test_fft_autocovariance_matches_the_lag_sums(self, n, max_lag):
+        # the transform is only as long as n + max_lag needs, so no lag wraps around
+        x = ar1(n, 1, 0.6, np.random.default_rng(n + max_lag))[:, 0]
+        centered = x - x.mean()
+        expected = [centered[: n - k] @ centered[k:] / n for k in range(max_lag + 1)]
+        np.testing.assert_allclose(_fft_autocovariance(x, max_lag), expected,
+                                   rtol=0, atol=1e-12 * expected[0])
 
 
 class TestSpectralLongrun:
@@ -380,6 +390,16 @@ class TestTraceExport:
         _, acf, _ = trace_export(samples, params="variance")
         assert acf.tolist() == [1.0] + [0.0] * (len(acf) - 1)
         assert len(acf) == default_bandwidth(1000) + 1
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    def test_quad_form_is_the_prior_quadratic_form_of_each_draw(
+        self, toy_wins, toy_prior, monkeypatch, block
+    ):
+        monkeypatch.setattr(diagnostics, "QUAD_FORM_BLOCK", block)
+        samples = run_chain(toy_wins, toy_prior, SamplerConfig(beta=0.2, iterations=300, seed=9))
+        trace, _, names = trace_export(samples, params="quad_form", cov=toy_prior)
+        expected = [row @ toy_prior.pinv @ row for row in samples.merit_draws]
+        np.testing.assert_allclose(trace, expected, rtol=1e-13)
 
     def test_quad_form_and_loglik_need_their_inputs(self):
         with pytest.raises(ValueError, match="quad_form"):

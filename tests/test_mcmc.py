@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import zipfile
 
 import numpy as np
@@ -23,6 +24,7 @@ from btrank import (
     save_chain,
 )
 from btrank import mcmc
+from btrank.bt import _log_likelihood
 from btrank.mcmc import BLOCK, read_chain_metadata
 
 from .conftest import make_income, rewrite_dump, toy_samples
@@ -41,6 +43,51 @@ def lopsided_wins() -> WinMatrix:
     wins = np.array([[0.0, 9.0, 9.0], [1.0, 0.0, 9.0], [1.0, 1.0, 0.0]])
     comparisons = (wins + wins.T).astype(int)
     return WinMatrix(entities=("a", "b", "c"), wins=wins, comparisons=comparisons)
+
+
+def one_at_a_time(w: WinMatrix, cov, config: SamplerConfig) -> dict[str, np.ndarray]:
+    """``run_chain``'s chain scored one proposal per iteration: the oracle for its batching.
+
+    It draws the same blocks and computes each proposal's merits and
+    log-likelihood with the same product and helper.  Returns, for every
+    iteration, the merits, variance and log-likelihood after it, its accept
+    flag, and the merits it proposed.
+    """
+    rng = np.random.default_rng(config.seed)
+    contraction = math.sqrt(1.0 - config.beta**2)
+    fixed = config.fix_variance is not None
+    shape = mcmc._gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
+    u = np.zeros(cov.rank)
+    merits = np.zeros(w.m)
+    variance = config.fix_variance if fixed else 1.0
+    loglik = _log_likelihood(merits, w.pairs)
+    trace = {"merit_draws": [], "variance_draws": [], "loglik_draws": [], "accept_flags": [],
+             "proposals": []}
+    for start in range(0, config.iterations, BLOCK):
+        size = min(BLOCK, config.iterations - start)
+        noise = config.beta * rng.standard_normal((size, cov.rank))
+        gammas = None if fixed else rng.standard_gamma(shape, size)
+        log_uniforms = np.log(rng.random(size))
+        for k in range(size):
+            if not fixed:
+                variance = (config.prior_scale + u @ u) / gammas[k]
+            proposal = contraction * u + math.sqrt(variance) * noise[k]
+            proposal_merits = np.vecdot(proposal, cov.factor)
+            loglik_new = _log_likelihood(proposal_merits, w.pairs)
+            accept = log_uniforms[k] < loglik_new - loglik
+            if accept:
+                u, merits, loglik = proposal, proposal_merits, loglik_new
+            for name, value in zip(trace, (merits, variance, loglik, accept, proposal_merits)):
+                trace[name].append(value)
+    return {name: np.array(values) for name, values in trace.items()}
+
+
+def assert_same_chain(samples: ChainSamples, oracle: dict[str, np.ndarray]) -> None:
+    config = samples.config
+    for name in ("merit_draws", "variance_draws", "loglik_draws"):
+        expected = oracle[name][config.burn_in :: config.thin]
+        assert getattr(samples, name).tobytes() == expected.tobytes(), name
+    assert samples.accept_flags.tobytes() == oracle["accept_flags"][config.burn_in :].tobytes()
 
 
 class TestSamplerConfig:
@@ -231,18 +278,97 @@ class TestWhitenedKernel:
         np.testing.assert_array_equal(two.accept_flags[: one.proposed], one.accept_flags)
 
     def test_non_finite_log_likelihood_names_its_iteration(self, toy_wins, toy_prior, monkeypatch):
-        calls = []
-        real = mcmc.log_likelihood
-
-        def fails_late(merits, w):
-            calls.append(1)
-            # the first call evaluates the starting point, call k + 1 iteration k
-            return float("nan") if len(calls) == BLOCK + 5 else real(merits, w)
-
-        monkeypatch.setattr(mcmc, "log_likelihood", fails_late)
         config = SamplerConfig(beta=0.2, iterations=2 * BLOCK, seed=3)
+        # the merits that iteration BLOCK + 4 proposes score NaN, in whatever batch they sit
+        target = one_at_a_time(toy_wins, toy_prior, config)["proposals"][BLOCK + 3]
+        real = mcmc._log_likelihood
+
+        def fails_late(merits, pairs):
+            return np.where((merits == target).all(axis=-1), np.nan, real(merits, pairs))
+
+        monkeypatch.setattr(mcmc, "_log_likelihood", fails_late)
         with pytest.raises(FloatingPointError, match=f"at iteration {BLOCK + 4}$"):
             run_chain(toy_wins, toy_prior, config)
+
+    def test_non_finite_proposals_past_an_acceptance_are_never_seen(
+        self, toy_wins, toy_prior, monkeypatch
+    ):
+        # a batch may score proposals after the one it accepts, from a state the
+        # chain has already left; the one-at-a-time chain never makes them, so
+        # a non-finite value there must not stop the chain or change it
+        config = SamplerConfig(beta=0.2, iterations=2 * BLOCK, seed=3)
+        oracle = one_at_a_time(toy_wins, toy_prior, config)
+        made = {row.tobytes() for row in oracle["proposals"]}
+        real = mcmc._log_likelihood
+        poisoned = []
+
+        def fails_off_the_chain(merits, pairs):
+            values = real(merits, pairs)
+            if merits.ndim == 2:
+                off = np.array([row.tobytes() not in made for row in merits])
+                values[off] = np.nan
+                poisoned.append(int(off.sum()))
+            return values
+
+        monkeypatch.setattr(mcmc, "_log_likelihood", fails_off_the_chain)
+        samples = run_chain(toy_wins, toy_prior, config)
+        assert sum(poisoned) > 0
+        assert_same_chain(samples, oracle)
+
+
+class TestBatchedProposals:
+    """``run_chain`` scores the proposals up to the next acceptance in one call
+    and must still be the one-at-a-time chain, bit for bit."""
+
+    @pytest.mark.parametrize("cap", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "beta, iterations, burn_in, thin, fix_variance",
+        [
+            (0.2, BLOCK - 1, BLOCK - 6, 3, None),
+            (0.2, BLOCK, BLOCK - 6, 3, None),
+            (0.2, BLOCK + 1, BLOCK - 6, 3, 0.7),
+            (0.6, 2 * BLOCK + 3, 37, 1, None),
+            (0.6, 2 * BLOCK + 3, 500, 3, 0.7),
+            (0.05, 1500, 0, 1, None),
+            (0.99, 2 * BLOCK + 3, 100, 2, None),
+        ],
+    )
+    def test_matches_the_one_at_a_time_chain(
+        self, toy_wins, toy_prior, monkeypatch, cap, beta, iterations, burn_in, thin, fix_variance
+    ):
+        monkeypatch.setattr(mcmc, "BATCH", cap)
+        config = SamplerConfig(beta=beta, iterations=iterations, burn_in=burn_in, thin=thin,
+                               seed=5, fix_variance=fix_variance)
+        samples = run_chain(toy_wins, toy_prior, config)
+        assert_same_chain(samples, one_at_a_time(toy_wins, toy_prior, config))
+
+    @pytest.mark.parametrize("fix_variance", [None, 0.7])
+    def test_a_batch_that_straddles_the_burn_in(self, toy_wins, toy_prior, monkeypatch, fix_variance):
+        config = SamplerConfig(beta=0.6, iterations=BLOCK + 300, burn_in=BLOCK + 41, thin=3,
+                               seed=8, fix_variance=fix_variance)
+        oracle = one_at_a_time(toy_wins, toy_prior, config)
+        rows = []
+        real = mcmc._log_likelihood
+
+        def counts_rows(merits, pairs):
+            if merits.ndim == 2:
+                rows.append(len(merits))
+            return real(merits, pairs)
+
+        monkeypatch.setattr(mcmc, "_log_likelihood", counts_rows)
+        samples = run_chain(toy_wins, toy_prior, config)
+        assert_same_chain(samples, oracle)
+        # rebuild each batch's span: it runs to its first acceptance, or to its end
+        spans, first = [], 0
+        for n in rows:
+            assert first // BLOCK == (first + n - 1) // BLOCK  # never across a block edge
+            hits = np.flatnonzero(oracle["accept_flags"][first : first + n])
+            last = first + (hits[0] + 1 if len(hits) else n)
+            spans.append((first, last))
+            first = last
+        assert first == config.iterations
+        assert any(a < config.burn_in < b for a, b in spans)
+        assert max(rows) > 2
 
 
 class TestPosteriorMean:
