@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of seven fixed-seed btrank runs.
+"""Print a sha256 digest of every output of eight fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -42,6 +42,10 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
                          "--kernel", "rational_quadratic", "--mixture", "2",
                          "--fix-variance", "0.3", "--beta", "0.05",
                          "--iterations", "3000", "--seed", "5"]),
+        # a thin above mcmc.BLOCK leaves some blocks without a kept draw
+        ("fit_rank_adjusted", ["fit", *inputs, "--rank-adjusted-shape", "true",
+                               "--iterations", "120000", "--burn-in", "1500",
+                               "--thin", "1100", "--seed", "9"]),
         ("mle_drop", ["mle", *inputs, "--missing-policy", "drop_entities",
                       "--drop-entities", "Chandigarh"]),
         ("mle_tie_drop", ["mle", *inputs, "--tie-policy", "drop"]),

@@ -59,19 +59,23 @@ def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
     return float(_log_likelihood(merits, w.pairs))
 
 
+def _reach(adjacency: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Entities reachable from the boolean set ``seen``; ``adjacency[i, j]`` is an edge i -> j."""
+    frontier = seen
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen
+
+
 def _count_components(adjacency: np.ndarray) -> int:
     """Connected components of the undirected graph with this boolean adjacency."""
     adjacency = adjacency | adjacency.T
     unseen = np.ones(len(adjacency), dtype=bool)
     n_parts = 0
     while unseen.any():
-        # grow one component from its first unseen entity, a frontier at a time
         n_parts += 1
-        frontier = np.zeros_like(unseen)
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():
-            unseen &= ~frontier
-            frontier = adjacency[frontier].any(axis=0) & unseen
+        unseen &= ~_reach(adjacency, np.arange(len(unseen)) == np.argmax(unseen))
     return n_parts
 
 
@@ -92,6 +96,13 @@ def _check_mle_exists(w: WinMatrix) -> None:
         raise RuntimeError(
             f"comparison graph is disconnected ({n_parts} components); merits are not jointly identifiable"
         )
+    # Ford's condition: each entity beats each other one along some chain of wins
+    beats, first = w.wins > 0, np.arange(w.m) == 0
+    if not (_reach(beats, first).all() and _reach(beats.T, first).all()):
+        raise RuntimeError(
+            "win graph is not strongly connected (some entities never lose to the rest), "
+            "so the maximum likelihood merits do not exist"
+        )
 
 
 def mle_newman(w: WinMatrix, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
@@ -109,8 +120,8 @@ def mle_newman(w: WinMatrix, tol: float = 1e-10, max_iter: int = 10_000) -> np.n
     Raises
     ------
     RuntimeError
-        If the estimate does not exist (an entity with no wins or no losses,
-        or a disconnected comparison graph) or ``max_iter`` is exhausted.
+        If the estimate does not exist (the directed win graph is not
+        strongly connected) or ``max_iter`` is exhausted.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -221,8 +221,6 @@ def univariate_ess(x: np.ndarray) -> float:
     pairs = acov[0 : 2 * pair_count : 2] + acov[1 : 2 * pair_count : 2]
     nonpositive = np.nonzero(pairs <= 0)[0]
     cutoff = int(nonpositive[0]) if len(nonpositive) else pair_count
-    if cutoff == 0:
-        return ESS_CAP_FACTOR * n
     head = np.minimum.accumulate(pairs[:cutoff])
     asymptotic_var = -acov[0] + 2.0 * head.sum()
     if asymptotic_var <= 0:

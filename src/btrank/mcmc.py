@@ -130,20 +130,22 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     """Run one Gibbs-within-pCN chain and return post-burn-in draws.
 
     Each iteration refreshes the prior variance from its full conditional
-    (unless pinned) and then makes one preconditioned Crank-Nicolson move on
-    the merits.  The chain starts from zero merits and unit variance; draws
-    are recorded after ``config.burn_in`` iterations, every ``config.thin``-th
-    proposal, each with the log-likelihood the accept test computed for it.
+    and then makes one preconditioned Crank-Nicolson move on the merits.  The
+    chain starts from zero merits and unit variance; draws are recorded after
+    ``config.burn_in`` iterations, every ``config.thin``-th proposal, each
+    with the log-likelihood the accept test computed for it.
 
     The state is kept in whitened coordinates ``u`` in R^rank, with
     ``merits = cov.factor @ u``.  Since ``factor' pinv factor`` is the
     identity, the Gibbs scale ``prior_scale + merits' pinv merits`` is
     ``prior_scale + u @ u``, and the proposal is ``sqrt(1 - beta^2) u +
-    beta sqrt(variance) z`` for standard normal ``z``.  All randomness comes
-    from a single generator seeded with ``config.seed``, drawn ``BLOCK``
-    iterations at a time: first the normals, then the standard-gamma
-    variates of the Gibbs step (whose shape is constant), then the
-    acceptance uniforms.  A seed therefore reproduces its chain exactly.
+    beta sqrt(scale / gamma) z`` for standard normal ``z``.  A pinned
+    variance runs the same step with scale ``fix_variance`` and unit gammas.
+    All randomness comes from a single generator seeded with ``config.seed``,
+    drawn ``BLOCK`` iterations at a time: first the normals, then the
+    standard-gamma variates of the Gibbs step (whose shape is constant;
+    none when pinned), then the acceptance uniforms.  A seed therefore
+    reproduces its chain exactly.
 
     While the chain rejects, ``u`` does not move, so the proposals and
     accept tests of the next iterations are known in advance.  They are
@@ -158,18 +160,16 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
 
     rng = np.random.default_rng(config.seed)
     contraction = math.sqrt(1.0 - config.beta**2)
-    fixed = config.fix_variance is not None
+    pinned, thin = config.fix_variance, config.thin
     shape = _gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
-    burn_in, thin, cap = config.burn_in, config.thin, BATCH
     pairs, factor = w.pairs, cov.factor
 
     u = np.zeros(cov.rank)
-    drift = contraction * u
     merits = np.zeros(w.m)
     loglik = _log_likelihood(merits, pairs)
     accepted = 0
 
-    n_post = config.iterations - burn_in
+    n_post = config.iterations - config.burn_in
     n_kept = -(-n_post // thin)
     merit_draws = np.empty((n_kept, w.m))
     variance_draws = np.empty(n_kept)
@@ -179,13 +179,9 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     for start in range(0, config.iterations, BLOCK):
         size = min(BLOCK, config.iterations - start)
         noise = config.beta * rng.standard_normal((size, cov.rank))
-        if fixed:
-            variances = np.full(size, float(config.fix_variance))
-            noise *= math.sqrt(config.fix_variance)
-        else:
-            gammas = rng.standard_gamma(shape, size)
-            variances = np.empty(size)
+        gammas = rng.standard_gamma(shape, size) if pinned is None else np.ones(size)
         log_uniforms = np.log(rng.random(size))
+        variances = np.empty(size)
         # row 0 is the state the block starts from, row r its r-th acceptance
         states = np.empty((size + 1, w.m))
         state_logliks = np.empty(size + 1)
@@ -195,14 +191,11 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
 
         k = 0
         while k < size:
-            stop = k + min(cap, size - k, 2 * (start + k + 2) // (accepted + 1))
-            if fixed:
-                proposals = drift + noise[k:stop]
-            else:
-                scale = config.prior_scale + float(u @ u)
-                batch_variances = np.divide(scale, gammas[k:stop], out=variances[k:stop])
-                proposals = np.sqrt(batch_variances)[:, None] * noise[k:stop]
-                proposals += drift
+            stop = k + min(BATCH, size - k, 2 * (start + k + 2) // (accepted + 1))
+            scale = config.prior_scale + float(u @ u) if pinned is None else pinned
+            batch_variances = np.divide(scale, gammas[k:stop], out=variances[k:stop])
+            proposals = np.sqrt(batch_variances)[:, None] * noise[k:stop]
+            proposals += contraction * u
             proposal_merits = np.vecdot(proposals[:, None, :], factor)
             logliks = _log_likelihood(proposal_merits, pairs)
             hits = log_uniforms[k:stop] < logliks - loglik
@@ -213,24 +206,21 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
                 raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
             if hits[j]:
                 u, merits, loglik = proposals[j], proposal_merits[j], logliks[j]
-                drift = contraction * u
                 accepted += 1
                 n_moves += 1
                 moves[k + j] = True
                 states[n_moves], state_logliks[n_moves] = merits, loglik
             k += scored
 
-        # iteration ``start + i + 1`` has post-burn-in offset ``first + i``
-        first = start - burn_in
-        if first + size > 0:
-            lo = max(first, 0)
-            kept = -(-lo // thin)
-            i0 = kept * thin - first
-            rows = np.cumsum(moves)[i0::thin]
-            merit_draws[kept : kept + len(rows)] = states[rows]
-            loglik_draws[kept : kept + len(rows)] = state_logliks[rows]
-            variance_draws[kept : kept + len(rows)] = variances[i0::thin]
-            accept_flags[lo : first + size] = moves[lo - first :]
+        # iteration ``start + i + 1`` has post-burn-in offset ``post[i]``
+        post = np.arange(start - config.burn_in, start - config.burn_in + size)
+        after = post >= 0
+        keep = after & (post % thin == 0)
+        slots, rows = post[keep] // thin, np.cumsum(moves)[keep]
+        merit_draws[slots] = states[rows]
+        loglik_draws[slots] = state_logliks[rows]
+        variance_draws[slots] = variances[keep]
+        accept_flags[post[after]] = moves[after]
 
     return ChainSamples(
         merit_draws=merit_draws,

@@ -172,6 +172,15 @@ class TestMleNewman:
         with pytest.raises(RuntimeError, match="disconnected"):
             mle_newman(wins_matrix(wins))
 
+    def test_a_group_that_never_loses_is_rejected(self):
+        # {e0, e1} beat {e2, e3} every time and split within each pair, so every
+        # entity wins and loses and the comparison graph is connected
+        wins = np.zeros((4, 4))
+        wins[0, 1] = wins[1, 0] = wins[2, 3] = wins[3, 2] = 1.0
+        wins[:2, 2:] = 2.0
+        with pytest.raises(RuntimeError, match="not strongly connected"):
+            mle_newman(wins_matrix(wins), max_iter=1)
+
     def test_exhausted_iterations_raise(self, toy_wins):
         with pytest.raises(RuntimeError, match="did not converge"):
             mle_newman(toy_wins, max_iter=1)

@@ -331,6 +331,8 @@ class TestBatchedProposals:
             (0.6, 2 * BLOCK + 3, 500, 3, 0.7),
             (0.05, 1500, 0, 1, None),
             (0.99, 2 * BLOCK + 3, 100, 2, None),
+            (0.2, 3 * BLOCK + 5, BLOCK + 17, BLOCK + 300, None),
+            (0.2, 3 * BLOCK + 5, BLOCK + 17, BLOCK + 300, 0.7),
         ],
     )
     def test_matches_the_one_at_a_time_chain(
