@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of eight fixed-seed btrank runs.
+"""Print a sha256 digest of every output of nine fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -35,6 +35,9 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
     ]
     spec = work / "study.cfg"
     spec.write_text(STUDY_SPEC, encoding="utf-8")
+    # one contest per pair: some replications have no likelihood estimate
+    sparse = work / "sparse.cfg"
+    sparse.write_text("m = 6\nk_comparisons = 1\nreplications = 4\nseed = 7\n", encoding="utf-8")
     return [
         ("fit_thinned", ["fit", *inputs, "--beta", "0.009", "--iterations", "6000",
                          "--thin", "4", "--seed", "3", "--export-win-matrix"]),
@@ -54,6 +57,7 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
         ("diagnose_subset", ["diagnose", str(work / "fit_thinned" / "chain.npz"),
                              "--trace-params", "merit0,variance"]),
         ("simulate", ["simulate", str(spec), "--iterations", "2000", "--beta", "0.3"]),
+        ("simulate_sparse", ["simulate", str(sparse), "--iterations", "2000", "--beta", "0.3"]),
     ]
 
 

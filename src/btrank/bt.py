@@ -68,40 +68,20 @@ def _reach(adjacency: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _count_components(adjacency: np.ndarray) -> int:
-    """Connected components of the undirected graph with this boolean adjacency."""
-    adjacency = adjacency | adjacency.T
-    unseen = np.ones(len(adjacency), dtype=bool)
-    n_parts = 0
-    while unseen.any():
-        n_parts += 1
-        unseen &= ~_reach(adjacency, np.arange(len(unseen)) == np.argmax(unseen))
-    return n_parts
-
-
 def _check_mle_exists(w: WinMatrix) -> None:
-    totals_won = w.wins.sum(axis=1)
-    totals_lost = w.wins.sum(axis=0)
-    for i, name in enumerate(w.entities):
-        if totals_won[i] == 0:
-            raise RuntimeError(
-                f"entity {name!r} has no wins, so the maximum likelihood merits do not exist"
-            )
-        if totals_lost[i] == 0:
-            raise RuntimeError(
-                f"entity {name!r} has no losses, so the maximum likelihood merits do not exist"
-            )
-    n_parts = _count_components(w.comparisons > 0)
-    if n_parts > 1:
-        raise RuntimeError(
-            f"comparison graph is disconnected ({n_parts} components); merits are not jointly identifiable"
-        )
-    # Ford's condition: each entity beats each other one along some chain of wins
+    """Ford's condition: each entity beats each other one along some chain of wins.
+
+    It holds exactly when entity 0 reaches every entity along ``wins > 0``
+    and along its transpose; otherwise the raised error names one pair.
+    """
     beats, first = w.wins > 0, np.arange(w.m) == 0
-    if not (_reach(beats, first).all() and _reach(beats.T, first).all()):
+    not_beaten = np.flatnonzero(~_reach(beats, first))  # by entity 0, along any chain
+    not_beating = np.flatnonzero(~_reach(beats.T, first))  # entity 0, along any chain
+    if not_beaten.size or not_beating.size:
+        winner, loser = (0, not_beaten[0]) if not_beaten.size else (not_beating[0], 0)
         raise RuntimeError(
-            "win graph is not strongly connected (some entities never lose to the rest), "
-            "so the maximum likelihood merits do not exist"
+            f"{w.entities[winner]!r} beats {w.entities[loser]!r} along no chain of wins "
+            "(Ford's condition), so the maximum likelihood merits do not exist"
         )
 
 

@@ -120,7 +120,7 @@ def read_config_file(path, coercers) -> dict:
     A ``#`` at the start of a line or after whitespace starts a comment.
     """
     options = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not stripped:

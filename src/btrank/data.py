@@ -132,7 +132,8 @@ def _parse_number(text: str) -> float | None:
 
 def _read_rows(path) -> list[list[str]]:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte order mark that spreadsheet programs write
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: file is empty")
@@ -264,9 +265,8 @@ def align_entities(table: IndicatorTable, income: IncomeTable) -> tuple[Indicato
         raise ValueError(f"income entities missing from the indicator table: {', '.join(unknown)}")
 
     wanted = set(income.entities)
-    keep = [i for i, name in enumerate(table.entities) if name in wanted]
-    order = {name: i for i, name in enumerate(income.entities)}
-    return table.take(keep), income.take([order[table.entities[i]] for i in keep])
+    table = table.take([i for i, name in enumerate(table.entities) if name in wanted])
+    return table, income_for_entities(income, table.entities)
 
 
 def apply_missing_policy(table: IndicatorTable, policy: str, drop=()) -> IndicatorTable:

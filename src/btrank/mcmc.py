@@ -59,10 +59,10 @@ class SamplerConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
-        if not self.prior_shape > 0 or not self.prior_scale > 0:
-            raise ValueError("prior_shape and prior_scale must be positive")
-        if self.fix_variance is not None and not self.fix_variance > 0:
-            raise ValueError("fix_variance must be positive when given")
+        if not 0 < self.prior_shape < math.inf or not 0 < self.prior_scale < math.inf:
+            raise ValueError("prior_shape and prior_scale must be positive and finite")
+        if self.fix_variance is not None and not 0 < self.fix_variance < math.inf:
+            raise ValueError("fix_variance must be positive and finite when given")
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if not self.length_scale > 0:
-            raise ValueError("length_scale must be positive")
+        if not 0 < self.length_scale < np.inf:
+            raise ValueError("length_scale must be positive and finite")
         if self.kind == RATIONAL_QUADRATIC:
-            if self.mixture is None or not self.mixture > 0:
-                raise ValueError("rational_quadratic needs a positive mixture exponent")
+            if self.mixture is None or not 0 < self.mixture < np.inf:
+                raise ValueError("rational_quadratic needs a positive finite mixture exponent")
 
 
 def log_income_distance(income: IncomeTable) -> np.ndarray:
@@ -110,8 +110,8 @@ def constrain(sigma: np.ndarray, jitter: float = 1e-10) -> ConstrainedCovariance
         raise ValueError("covariance must be a square matrix")
     if not np.allclose(sigma, sigma.T, rtol=1e-12, atol=1e-12):
         raise ValueError("covariance must be symmetric")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    if not 0 <= jitter < np.inf:
+        raise ValueError("jitter must be nonnegative and finite")
 
     m = sigma.shape[0]
     jitter_applied = False

@@ -40,15 +40,15 @@ class SimStudySpec:
             raise ValueError("need at least 2 entities")
         if self.k_comparisons < 1:
             raise ValueError("k_comparisons must be positive")
-        if not self.prior_variance > 0:
-            raise ValueError("prior_variance must be positive")
+        if not 0 < self.prior_variance < np.inf:
+            raise ValueError("prior_variance must be positive and finite")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if not self.length_scales:
             object.__setattr__(self, "length_scales", (self.kernel.length_scale,))
         for scale in self.length_scales:
-            if not scale > 0:
-                raise ValueError("length scales must be positive")
+            if not 0 < scale < np.inf:
+                raise ValueError("length scales must be positive and finite")
 
 
 def simulate_win_matrix(true_merits: np.ndarray, k: int, rng: np.random.Generator) -> WinMatrix:

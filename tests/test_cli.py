@@ -19,7 +19,8 @@ from btrank import (
     build_prior, build_win_matrix, load_chain, mle_newman, save_chain, summarize, trace_export
 )
 from btrank.cli import (
-    _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main
+    _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main,
+    read_config_file,
 )
 from btrank.diagnostics import default_bandwidth
 
@@ -142,6 +143,13 @@ class TestFit:
         assert samples.config.iterations == 900  # flag beats config
         assert samples.config.beta == 0.05  # config beats default
         assert samples.config.seed == 3
+
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        config = tmp_path / "fit.conf"
+        config.write_text("iterations = 600\nbeta = 0.05\n", encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+        coercers = {"iterations": int, "beta": float}
+        assert read_config_file(config, coercers) == {"iterations": 600, "beta": 0.05}
 
     def test_none_flags_override_config_values(self, tmp_path):
         config = tmp_path / "fit.conf"
@@ -348,6 +356,22 @@ class TestFailureModes:
         code = main(fixture_args(tmp_path, "--beta", "2.0"))
         assert code == 1
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--length-scale", "inf"), "length_scale must be positive and finite"),
+            (("--kernel", "rational_quadratic", "--mixture", "inf"), "finite mixture"),
+            (("--jitter", "inf"), "jitter must be nonnegative and finite"),
+            (("--prior-shape", "inf"), "prior_shape and prior_scale must be positive and finite"),
+            (("--prior-scale", "inf"), "prior_shape and prior_scale must be positive and finite"),
+            (("--fix-variance", "inf"), "fix_variance must be positive and finite"),
+        ],
+    )
+    def test_non_finite_setting_is_refused_before_sampling(self, tmp_path, capsys, flags, message):
+        assert main(fixture_args(tmp_path, *flags)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "chain.npz").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "fit.conf"

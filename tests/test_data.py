@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import codecs
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from btrank import (
     align_entities,
     apply_missing_policy,
     income_for_entities,
+    load_dataset,
     load_income,
     load_indicators,
     subset_by_zone,
@@ -295,3 +299,14 @@ class TestBundledDataset:
         counts = {z: income.zone.count(z) for z in ("low", "middle", "high")}
         assert counts == {"low": 11, "middle": 12, "high": 10}
         assert all(c >= 2 for c in counts.values())
+
+    def test_a_byte_order_mark_is_ignored(self, data_dir, fixture_dataset, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading byte order mark
+        names = ("indicators.csv", "polarity.csv", "income.csv")
+        for name in names:
+            (tmp_path / name).write_bytes(codecs.BOM_UTF8 + (data_dir / name).read_bytes())
+        loaded = load_dataset(*(tmp_path / name for name in names))
+        for got, want in zip(loaded, fixture_dataset):
+            for field in fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.array_equal(a, b, equal_nan=True) if isinstance(b, np.ndarray) else a == b

@@ -110,6 +110,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="fix_variance"):
             SamplerConfig(beta=0.2, iterations=100, fix_variance=-1.0)
 
+    @pytest.mark.parametrize("setting", ["prior_shape", "prior_scale", "fix_variance"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_settings(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting}.*finite"):
+            SamplerConfig(beta=0.2, iterations=100, **{setting: value})
+
     def test_zero_burn_in_is_allowed(self):
         assert SamplerConfig(beta=0.2, iterations=10, burn_in=0).burn_in == 0
 

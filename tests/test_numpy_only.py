@@ -1,16 +1,18 @@
 """The package runs on numpy alone, and its own small numerics match scipy's bit for bit.
 
-scipy is a test dependency only.  The logistic function, the component count
-behind the maximum likelihood existence check and the recovery study's
-correlations are written with numpy and the standard library; these tests
-hold them to the scipy functions they replace, so every output stays
-byte-identical.
+scipy is a test dependency only.  The logistic function, the reachability
+search behind the maximum likelihood existence check and the recovery
+study's correlations are written with numpy and the standard library; these
+tests hold them to scipy's functions, so every output stays byte-identical
+and the estimate is refused on exactly the win graphs scipy finds not
+strongly connected.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.special import expit
 from scipy.stats import pearsonr, spearmanr
 
-from btrank.bt import _count_components, _expit
+from btrank import WinMatrix, mle_newman
+from btrank.bt import _expit
 from btrank.sim import _pearson, _spearman
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -59,20 +62,59 @@ class TestExpit:
         assert same(_expit(x), expit(x))
 
 
-class TestComponentCount:
-    def test_matches_scipy_on_random_graphs(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            m = int(rng.integers(1, 12))
-            adjacency = rng.random((m, m)) < rng.random() * 0.4
-            expected, _ = connected_components(adjacency, directed=False)
-            assert _count_components(adjacency) == expected
+def random_wins(rng) -> np.ndarray:
+    """A random directed win matrix on 2 to 11 entities.
 
-    def test_an_isolated_entity_is_its_own_component(self):
-        adjacency = np.ones((4, 4), dtype=bool)
-        adjacency[2, :] = adjacency[:, 2] = False
-        assert _count_components(adjacency) == 2
-        assert connected_components(adjacency, directed=False)[0] == 2
+    About half the draws are sparse integer counts at a random density, a
+    third of them with some ties split into half-wins.  The others, on 4 or
+    more entities, split the entities at random into two groups of at least
+    two, each a directed cycle in which every entity wins and loses, joined
+    by wins of the first group over the second; about half of those also
+    get one win back, which makes the graph strongly connected.
+    """
+    m = int(rng.integers(2, 12))
+    if m < 4 or rng.random() < 0.5:
+        wins = (rng.integers(1, 4, size=(m, m)) * (rng.random((m, m)) < rng.random())).astype(float)
+        if rng.random() < 0.3:
+            tied = np.triu(rng.random((m, m)) < 0.2, 1)
+            wins += 0.5 * (tied | tied.T)
+    else:
+        order = rng.permutation(m)
+        cut = int(rng.integers(2, m - 1))
+        wins = np.zeros((m, m))
+        for group in (order[:cut], order[cut:]):
+            wins[group, np.roll(group, -1)] += 1.0
+        wins[order[0], order[cut]] += 2.0
+        if rng.random() < 0.5:
+            wins[order[-1], order[0]] += 1.0
+    np.fill_diagonal(wins, 0.0)
+    return wins
+
+
+class TestFordsCondition:
+    """``mle_newman`` refuses a win matrix exactly when scipy finds it not strongly connected."""
+
+    def test_matches_scipy_on_random_win_matrices(self):
+        rng = np.random.default_rng(1)
+        refused = 0
+        for _ in range(400):
+            wins = random_wins(rng)
+            w = WinMatrix(
+                entities=tuple(f"e{i}" for i in range(len(wins))),
+                wins=wins,
+                comparisons=(wins + wins.T).astype(np.int64),
+            )
+            beats = wins > 0
+            if connected_components(beats, directed=True, connection="strong")[0] > 1:
+                refused += 1
+                with pytest.raises(RuntimeError, match="along no chain") as info:
+                    mle_newman(w)
+                # the named pair is a real counterexample: no chain of wins links them
+                winner, loser = (int(e) for e in re.findall(r"'e(\d+)'", str(info.value)))
+                assert loser not in breadth_first_order(beats, winner, return_predecessors=False)
+            else:
+                assert np.isfinite(mle_newman(w)).all()
+        assert 100 < refused < 300
 
 
 class TestCorrelations:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ class TestKernelSpec:
             KernelSpec("matern", 0.5)
         with pytest.raises(ValueError, match="length_scale"):
             KernelSpec("squared_exponential", 0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_scale_and_mixture(self, value):
+        with pytest.raises(ValueError, match="length_scale.*finite"):
+            KernelSpec("squared_exponential", value)
+        with pytest.raises(ValueError, match="finite mixture"):
+            KernelSpec("rational_quadratic", 0.5, value)
 
 
 class TestLogIncomeDistance:
@@ -126,6 +135,11 @@ class TestConstrain:
         income = make_income()
         cov = build_prior(income, KernelSpec("squared_exponential", 0.5), jitter=0.0)
         assert not cov.jitter_applied
+
+    @pytest.mark.parametrize("jitter", [-1e-10, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_jitter(self, jitter):
+        with pytest.raises(ValueError, match="jitter must be nonnegative and finite"):
+            constrain(np.eye(3), jitter=jitter)
 
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -111,6 +111,13 @@ class TestSimStudySpec:
         with pytest.raises(ValueError, match="length scales"):
             SimStudySpec(length_scales=(0.5, -0.1))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_settings(self, value):
+        with pytest.raises(ValueError, match="prior_variance.*finite"):
+            SimStudySpec(prior_variance=value)
+        with pytest.raises(ValueError, match="length scales.*finite"):
+            SimStudySpec(length_scales=(0.5, value))
+
 
 class TestRunRecoveryStudy:
     def tiny_spec(self, **overrides):
