@@ -25,8 +25,8 @@ wins = np.array(
         [1.0, 4.0, 0.0],
     ]
 )
-comparisons = (wins + wins.T).astype(int)
-w = WinMatrix(entities=("alice", "ben", "cara"), wins=wins, comparisons=comparisons)
+w = WinMatrix(entities=("alice", "ben", "cara"), wins=wins)
+print("contests per pair, wins[i, j] + wins[j, i]:", w.comparisons[np.triu_indices(3, 1)])
 
 # the Newman iteration converges to the unique (sum-to-zero) optimum
 merits = mle_newman(w)
@@ -47,10 +47,6 @@ p = win_probability(merits[0], merits[2])
 print(f"alice beats cara with probability {p:.3f} under the fitted model")
 
 # two-entity record of 3 wins to 1 recovers the closed form ln 3
-tiny = WinMatrix(
-    entities=("x", "y"),
-    wins=np.array([[0.0, 3.0], [1.0, 0.0]]),
-    comparisons=np.array([[0, 4], [4, 0]]),
-)
+tiny = WinMatrix(entities=("x", "y"), wins=np.array([[0.0, 3.0], [1.0, 0.0]]))
 gap = mle_newman(tiny)[0] - mle_newman(tiny)[1]
 print("3-1 record merit gap:", round(gap, 6), "= ln 3 =", round(np.log(3), 6))

@@ -88,9 +88,7 @@ for lag, value in enumerate(acf):
     print(f"  lag {lag:>2}: {value:+.3f}")
 
 # an uninformative chain accepts every proposal and mixes instantly
-flat = WinMatrix(
-    entities=entities, wins=np.zeros((5, 5)), comparisons=np.zeros((5, 5), dtype=int)
-)
+flat = WinMatrix(entities=entities, wins=np.zeros((5, 5)))
 flat_samples = run_chain(flat, cov, SamplerConfig(beta=0.5, iterations=30_000, seed=8, fix_variance=1.0))
 flat_report = diagnose(flat_samples)
 print(

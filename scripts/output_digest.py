@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of nine fixed-seed btrank runs.
+"""Print a sha256 digest of every output of ten fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -49,6 +49,9 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
         ("fit_rank_adjusted", ["fit", *inputs, "--rank-adjusted-shape", "true",
                                "--iterations", "120000", "--burn-in", "1500",
                                "--thin", "1100", "--seed", "9"]),
+        # the only exported win matrix whose contest counts leave ties out
+        ("fit_tie_drop", ["fit", *inputs, "--tie-policy", "drop", "--export-win-matrix",
+                          "--iterations", "3000", "--seed", "4"]),
         ("mle_drop", ["mle", *inputs, "--missing-policy", "drop_entities",
                       "--drop-entities", "Chandigarh"]),
         ("mle_tie_drop", ["mle", *inputs, "--tie-policy", "drop"]),

@@ -15,10 +15,13 @@ from .bt import mle_newman
 from .data import (
     apply_missing_policy, income_for_entities, load_dataset, subset_by_zone, write_csv, write_json
 )
-from .diagnostics import diagnose, long_rows, rank_entities, trace_export
+from .diagnostics import (
+    _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, long_rows,
+    rank_entities, trace_export,
+)
 from .mcmc import SamplerConfig, load_chain, read_chain_metadata, run_chain, save_chain
 from .prior import RATIONAL_QUADRATIC, KernelSpec, build_prior
-from .report import export_report, summarize
+from .report import _check_summary, export_report, summarize
 from .sim import SimStudySpec, run_recovery_study, write_study_csv
 from .wins import build_win_matrix, export_win_matrix, total_comparisons
 
@@ -186,7 +189,19 @@ def _out_dir(options) -> Path:
     return out
 
 
-def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None):
+def _trace_names(options, n_kept: int, m: int, quad_form: bool, loglik: bool) -> list[str]:
+    """Check the diagnostics settings against a chain's shape; return the traced names."""
+    _check_threshold(options["threshold"])
+    if options["bandwidth"] is not None:
+        _check_bandwidth(options["bandwidth"], n_kept)
+    if options["window"] is not None:
+        _check_window(options["window"])
+    params = options["trace_params"]
+    params = params if params == "all" else _csv_list(params)
+    return _resolve_params(params, m, quad_form, loglik)
+
+
+def _write_diagnostics(out: Path, samples, options, extra_flags, names, cov=None):
     report = diagnose(
         samples,
         threshold=options["threshold"],
@@ -196,10 +211,7 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, cov=None):
     )
     write_json(report.to_dict(), out / "diagnostics.json")
 
-    params = options["trace_params"]
-    if params != "all":
-        params = _csv_list(params)
-    trace, acf, names = trace_export(samples, params, cov=cov, bandwidth=options["bandwidth"])
+    trace, acf, names = trace_export(samples, names, cov=cov, bandwidth=options["bandwidth"])
     write_csv(out / "traces.csv", ["draw", "parameter", "value"], long_rows(trace, names, 1))
     write_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], long_rows(acf, names, 0))
     write_csv(out / "kendall.csv", ["draw", "distance"], report.kendall_series)
@@ -224,6 +236,9 @@ def cmd_fit(args) -> int:
     kernel = _kernel_spec(options, options["length_scale"])
     cov = build_prior(income, kernel, jitter=options["jitter"])
     config = _from_options(SamplerConfig, options, kernel=kernel)
+    # fail before sampling; a fit has the prior and run_chain records the log-likelihood
+    names = _trace_names(options, config.n_kept, w.m, quad_form=True, loglik=True)
+    _check_summary(config.n_kept, options["level"])
 
     print(
         f"fit: {w.m} entities, {table.k} indicators, {total_comparisons(w)} comparisons; "
@@ -234,14 +249,9 @@ def cmd_fit(args) -> int:
     out = _out_dir(options)
     if options["export_win_matrix"]:
         export_win_matrix(w, out / "win_matrix.csv")
-    save_chain(
-        samples,
-        out / "chain.npz",
-        metadata={"jitter_applied": cov.jitter_applied, "entities": list(w.entities)},
-    )
-    report = _write_diagnostics(
-        out, samples, options, {"jitter_applied": cov.jitter_applied}, cov=cov
-    )
+    flags = {"jitter_applied": cov.jitter_applied}
+    save_chain(samples, out / "chain.npz", metadata={**flags, "entities": list(w.entities)})
+    report = _write_diagnostics(out, samples, options, flags, names, cov=cov)
 
     baseline = None
     try:
@@ -291,8 +301,10 @@ def cmd_diagnose(args) -> int:
     samples = load_chain(args.chain)
     extra = read_chain_metadata(args.chain)
     flags = {"jitter_applied": extra["jitter_applied"]} if "jitter_applied" in extra else {}
+    loglik = samples.loglik_draws is not None
+    names = _trace_names(options, samples.n_kept, samples.m, quad_form=False, loglik=loglik)
     out = _out_dir(options)
-    report = _write_diagnostics(out, samples, options, flags)
+    report = _write_diagnostics(out, samples, options, flags, names)
     print(
         f"diagnose: {samples.n_kept} kept draws, acceptance {report.acceptance_rate:.3f}, "
         f"ess {report.ess:.1f} on a rank-{report.rank_est} subspace"

@@ -41,6 +41,16 @@ def _check_bandwidth(bandwidth: int, n: int) -> int:
     return bandwidth
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+
+
+def _check_window(window: int) -> None:
+    if window < 1:
+        raise ValueError("window must be at least 1")
+
+
 def _as_draws(draws) -> np.ndarray:
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2:
@@ -147,8 +157,7 @@ def _cap_ess(ess: float, n: int) -> tuple[float, bool]:
 
 def _ess(draws, threshold: float, bandwidth: int | None):
     """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
+    _check_threshold(threshold)
     draws = _as_draws(draws)
     n, m = draws.shape
     b = default_bandwidth(n) if bandwidth is None else int(bandwidth)
@@ -278,8 +287,7 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
     Returns (kept-draw count, Kendall tau distance) pairs; the last point is
     always the full chain and has distance zero by construction.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    _check_window(window)
     n = samples.n_kept
     if n < 1:
         raise ValueError("chain has no kept draws")
@@ -304,23 +312,18 @@ def _quad_form(draws: np.ndarray, pinv: np.ndarray) -> np.ndarray:
     return quad
 
 
-def _resolve_params(samples: ChainSamples, params, cov) -> list[str]:
-    merit_names = [f"merit{i}" for i in range(samples.m)]
+def _resolve_params(params, m: int, quad_form: bool, loglik: bool) -> list[str]:
+    merit_names = [f"merit{i}" for i in range(m)]
     if params == "all":
-        names = list(merit_names) + ["variance"]
-        if cov is not None:
-            names.append("quad_form")
-        if samples.loglik_draws is not None:
-            names.append("loglik")
-        return names
+        return merit_names + ["variance"] + ["quad_form"] * quad_form + ["loglik"] * loglik
     valid = set(merit_names) | {"variance", "quad_form", "loglik"}
     names = [params] if isinstance(params, str) else list(params)
     for name in names:
         if name not in valid:
             raise ValueError(f"unknown trace parameter {name!r}")
-        if name == "quad_form" and cov is None:
+        if name == "quad_form" and not quad_form:
             raise ValueError("quad_form requires the constrained covariance")
-        if name == "loglik" and samples.loglik_draws is None:
+        if name == "loglik" and not loglik:
             raise ValueError("loglik requires a chain that recorded its log-likelihood")
     return names
 
@@ -338,7 +341,7 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
     each parameter's autocorrelations at lags 0 to the bandwidth (at most
     ``n_kept - 1``) in the same order.
     """
-    names = _resolve_params(samples, params, cov)
+    names = _resolve_params(params, samples.m, cov is not None, samples.loglik_draws is not None)
     n = samples.n_kept
     if n < 1:
         raise ValueError("chain has no kept draws")

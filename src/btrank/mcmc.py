@@ -64,6 +64,10 @@ class SamplerConfig:
         if self.fix_variance is not None and not 0 < self.fix_variance < math.inf:
             raise ValueError("fix_variance must be positive and finite when given")
 
+    @property
+    def n_kept(self) -> int:
+        return -(-(self.iterations - self.burn_in) // self.thin)
+
 
 @dataclass(frozen=True)
 class ChainSamples:
@@ -169,8 +173,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     loglik = _log_likelihood(merits, pairs)
     accepted = 0
 
-    n_post = config.iterations - config.burn_in
-    n_kept = -(-n_post // thin)
+    n_post, n_kept = config.iterations - config.burn_in, config.n_kept
     merit_draws = np.empty((n_kept, w.m))
     variance_draws = np.empty(n_kept)
     loglik_draws = np.empty(n_kept)
@@ -250,22 +253,13 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
 
     Zip entry timestamps are pinned, so identical samples produce
     byte-identical files.  ``loglik_draws`` is written only when set.
-    ``metadata`` may carry extra JSON-serializable context (for example
-    prior flags) retrievable via ``read_chain_metadata``.
+    ``meta.json`` holds the sampler settings and ``metadata``, which may
+    carry extra JSON-serializable context (for example prior flags)
+    retrievable via ``read_chain_metadata``.
     """
-    meta = {
-        "config": asdict(samples.config),
-        "accepted": samples.accepted,
-        "proposed": samples.proposed,
-        "extra": metadata or {},
-    }
-    arrays = {
-        "merit_draws": samples.merit_draws,
-        "variance_draws": samples.variance_draws,
-        "accept_flags": samples.accept_flags,
-    }
-    if samples.loglik_draws is not None:
-        arrays["loglik_draws"] = samples.loglik_draws
+    meta = {"config": asdict(samples.config), "extra": metadata or {}}
+    names = ("merit_draws", "variance_draws", "accept_flags", "loglik_draws")
+    arrays = {name: getattr(samples, name) for name in names if getattr(samples, name) is not None}
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
         for name, array in arrays.items():
             buffer = io.BytesIO()
@@ -292,7 +286,8 @@ def load_chain(path) -> ChainSamples:
     """Reconstruct ChainSamples from a dump written by ``save_chain``.
 
     Each array entry fills the field of its name, so a dump without a
-    ``loglik_draws`` entry loads with ``loglik_draws=None``.
+    ``loglik_draws`` entry loads with ``loglik_draws=None``.  The acceptance
+    counts are those of ``accept_flags``, which older dumps' ``meta.json`` repeats.
     """
     path = Path(path)
     try:
@@ -300,8 +295,8 @@ def load_chain(path) -> ChainSamples:
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files if name != "meta.json"}
         return ChainSamples(
-            accepted=int(meta["accepted"]),
-            proposed=int(meta["proposed"]),
+            accepted=int(meta.get("accepted", arrays["accept_flags"].sum())),
+            proposed=int(meta.get("proposed", len(arrays["accept_flags"]))),
             config=_config_from_dict(meta["config"]),
             **arrays,
         )

@@ -56,6 +56,13 @@ class RankingReport:
         return {name: int(r) for name, r in zip(self.entities, self.mle_rank)}
 
 
+def _check_summary(n_kept: int, level: float) -> None:
+    if n_kept < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} kept draws, got {n_kept}")
+    if not 0 < level < 1:
+        raise ValueError("level must lie strictly between 0 and 1")
+
+
 def _outranking(draws: np.ndarray) -> np.ndarray:
     # ChainSamples holds only finite draws, so a draw neither entity wins is a
     # tie: (wins + ties / 2) / n = (n + wins - wins') / 2n
@@ -90,10 +97,7 @@ def summarize(samples: ChainSamples, entities, level: float = 0.95,
     entities = tuple(entities)
     if len(entities) != samples.m:
         raise ValueError(f"got {len(entities)} entity names for {samples.m} merit components")
-    if samples.n_kept < MIN_DRAWS:
-        raise ValueError(f"need at least {MIN_DRAWS} kept draws, got {samples.n_kept}")
-    if not 0 < level < 1:
-        raise ValueError("level must lie strictly between 0 and 1")
+    _check_summary(samples.n_kept, level)
 
     draws = samples.merit_draws
     mean = draws.mean(axis=0)

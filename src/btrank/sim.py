@@ -65,7 +65,7 @@ def simulate_win_matrix(true_merits: np.ndarray, k: int, rng: np.random.Generato
     wins = np.zeros((m, m))
     wins[i, j], wins[j, i] = won, k - won
     entities = tuple(f"item{n:02d}" for n in range(m))
-    return WinMatrix(entities=entities, wins=wins, comparisons=(wins + wins.T).astype(np.int64))
+    return WinMatrix(entities=entities, wins=wins)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

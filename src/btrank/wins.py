@@ -33,13 +33,12 @@ class WinMatrix:
     """Directed win counts between entities.
 
     ``wins[i, j]`` is the number of pairwise contests entity ``i`` won against
-    entity ``j`` (half-integers appear when ties are split), and
-    ``comparisons[i, j]`` is the number of contests counted for the pair.
+    entity ``j`` (half-integers appear when ties are split), and the pair's
+    contest count ``comparisons[i, j]`` is ``wins[i, j] + wins[j, i]``.
     """
 
     entities: tuple[str, ...]
     wins: np.ndarray
-    comparisons: np.ndarray
 
     def __post_init__(self) -> None:
         m = len(self.entities)
@@ -47,19 +46,24 @@ class WinMatrix:
             raise ValueError(f"need at least 2 entities, got {m}")
         if len(set(self.entities)) != m:
             raise ValueError("duplicate entity names")
-        if self.wins.shape != (m, m) or self.comparisons.shape != (m, m):
-            raise ValueError(f"wins and comparisons must both have shape {(m, m)}")
-        if np.diagonal(self.wins).any() or np.diagonal(self.comparisons).any():
+        if self.wins.shape != (m, m):
+            raise ValueError(f"wins must have shape {(m, m)}")
+        if np.diagonal(self.wins).any():
             raise ValueError("diagonal entries must be zero")
-        if (self.comparisons < 0).any() or (self.wins < 0).any():
+        if (self.wins < 0).any():
             raise ValueError("counts must be nonnegative")
-        # wins split a tie into exact halves, so this sum is exact in floats
-        if not np.array_equal(self.wins + self.wins.T, self.comparisons.astype(float)):
-            raise ValueError("wins[i,j] + wins[j,i] must equal comparisons[i,j]")
+        totals = self.wins + self.wins.T
+        if not np.isfinite(totals).all() or (totals % 1).any():
+            raise ValueError("wins[i,j] + wins[j,i] must be a finite whole number")
 
     @property
     def m(self) -> int:
         return len(self.entities)
+
+    @cached_property
+    def comparisons(self) -> np.ndarray:
+        """Contests counted for each pair, built on first use and kept."""
+        return (self.wins + self.wins.T).astype(np.int64)
 
     @cached_property
     def pairs(self) -> PairList:
@@ -97,21 +101,15 @@ def build_win_matrix(table: IndicatorTable, tie_policy: str = "split") -> WinMat
     adjusted = table.values * table.polarity
     greater = (adjusted[:, None, :] > adjusted[None, :, :]).sum(axis=2).astype(float)
 
-    if tie_policy == "split":
-        comparisons = np.full((table.m, table.m), table.k, dtype=np.int64)
-        np.fill_diagonal(comparisons, 0)
-        # values are finite, so ties = k - greater - greater'; wins = greater + ties / 2
-        wins = 0.5 * (comparisons + greater - greater.T)
-    else:
-        wins = greater
-        comparisons = (greater + greater.T).astype(np.int64)
-    return WinMatrix(entities=table.entities, wins=wins, comparisons=comparisons)
+    # values are finite, so ties = k - greater - greater' and split wins are greater + ties / 2
+    wins = greater if tie_policy == "drop" else 0.5 * (table.k + greater - greater.T)
+    np.fill_diagonal(wins, 0.0)  # splitting counts k / 2 wins of each entity over itself
+    return WinMatrix(entities=table.entities, wins=wins)
 
 
 def total_comparisons(w: WinMatrix) -> int:
     """Total number of counted contests across all unordered pairs."""
-    iu = np.triu_indices(w.m, k=1)
-    return int(w.comparisons[iu].sum())
+    return int(w.wins.sum())
 
 
 def export_win_matrix(w: WinMatrix, path) -> None:

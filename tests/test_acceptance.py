@@ -55,7 +55,6 @@ def empty_wins(m: int) -> WinMatrix:
     return WinMatrix(
         entities=tuple(f"e{i}" for i in range(m)),
         wins=np.zeros((m, m)),
-        comparisons=np.zeros((m, m), dtype=np.int64),
     )
 
 
@@ -65,7 +64,6 @@ def test_criterion_1_closed_form_mle():
     w = WinMatrix(
         entities=("strong", "weak"),
         wins=np.array([[0.0, 3.0], [1.0, 0.0]]),
-        comparisons=np.array([[0, 4], [4, 0]]),
     )
     merits = mle_newman(w, max_iter=100)  # must converge within 100 sweeps
     gap = merits[0] - merits[1]
@@ -108,9 +106,7 @@ def test_criterion_3_posterior_matches_dense_grid():
     wins[0, 1], wins[1, 0] = 14, 6
     wins[0, 2], wins[2, 0] = 16, 4
     wins[1, 2], wins[2, 1] = 12, 8
-    comparisons = np.full((m, m), 20, dtype=np.int64)
-    np.fill_diagonal(comparisons, 0)
-    w = WinMatrix(("a", "b", "c"), wins, comparisons)
+    w = WinMatrix(("a", "b", "c"), wins)
     income = IncomeTable(
         ("a", "b", "c"), np.array([60e3, 90e3, 180e3]), ("low", "low", "middle")
     )

@@ -20,9 +20,8 @@ from .conftest import make_table
 
 def wins_matrix(wins, entities=None):
     wins = np.asarray(wins, dtype=float)
-    comparisons = (wins + wins.T).astype(np.int64)
     entities = entities or tuple(f"e{i}" for i in range(len(wins)))
-    return WinMatrix(entities=entities, wins=wins, comparisons=comparisons)
+    return WinMatrix(entities=entities, wins=wins)
 
 
 class TestWinProbability:
@@ -57,7 +56,6 @@ class TestLogLikelihood:
         permuted = WinMatrix(
             entities=tuple(toy_wins.entities[i] for i in perm),
             wins=toy_wins.wins[np.ix_(perm, perm)],
-            comparisons=toy_wins.comparisons[np.ix_(perm, perm)],
         )
         np.testing.assert_allclose(log_likelihood(mu[perm], permuted), log_likelihood(mu, toy_wins))
 
@@ -154,7 +152,6 @@ class TestMleNewman:
         permuted = WinMatrix(
             entities=tuple(toy_wins.entities[i] for i in perm),
             wins=toy_wins.wins[np.ix_(perm, perm)],
-            comparisons=toy_wins.comparisons[np.ix_(perm, perm)],
         )
         np.testing.assert_allclose(mle_newman(permuted), merits[perm], atol=1e-8)
 

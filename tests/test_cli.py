@@ -250,6 +250,17 @@ class TestDiagnose:
             capsys.readouterr().err
         )
 
+    def test_unknown_trace_parameter_writes_nothing(self, tmp_path, capsys):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        code = main([
+            "diagnose", str(fit_out / "chain.npz"), "--out", str(diag_out),
+            "--trace-params", "bogus",
+        ])
+        assert code == 1
+        assert "unknown trace parameter 'bogus'" in capsys.readouterr().err
+        assert not diag_out.exists()
+
     def test_missing_dump_maps_to_the_io_exit_code(self, tmp_path, capsys):
         code = main(["diagnose", str(tmp_path / "absent.npz"), "--out", str(tmp_path)])
         assert code == 3
@@ -281,7 +292,7 @@ class TestDiagnose:
             out.mkdir()
             tracemalloc.start()
             try:
-                _write_diagnostics(out, samples, options, {})
+                _write_diagnostics(out, samples, options, {}, "all")
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -372,6 +383,31 @@ class TestFailureModes:
         assert main(fixture_args(tmp_path, *flags)) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "chain.npz").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--level", "1.5"), "level must lie strictly between 0 and 1"),
+            (("--threshold", "2"), "threshold must lie strictly between 0 and 1"),
+            (("--thin", "30000"), "need at least 100 kept draws, got 67"),
+            (("--window", "0"), "window must be at least 1"),
+            (("--bandwidth", "2000001"), "bandwidth must lie in [1, 2000000], got 2000001"),
+            (("--trace-params", "merit99"), "unknown trace parameter 'merit99'"),
+        ],
+    )
+    def test_output_setting_is_refused_before_sampling(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def sample(*args):
+            raise AssertionError("the chain was run before the settings were checked")
+
+        # the default chain keeps 2,000,000 draws and takes minutes to sample
+        monkeypatch.setattr("btrank.cli.run_chain", sample)
+        out = tmp_path / "out"
+        default_length = ("--iterations", str(RUN_DEFAULTS["iterations"]), "--burn-in", "none")
+        assert main(fixture_args(out, *default_length, *flags)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "fit.conf"

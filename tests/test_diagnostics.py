@@ -440,9 +440,7 @@ class TestDiagnose:
         wins = np.zeros((4, 4))
         from btrank import WinMatrix
 
-        w = WinMatrix(
-            entities=tuple("abcd"), wins=wins, comparisons=np.zeros((4, 4), dtype=int)
-        )
+        w = WinMatrix(entities=tuple("abcd"), wins=wins)
         self.samples = run_chain(w, cov, SamplerConfig(beta=0.3, iterations=3000, seed=19))
 
     def test_report_contents(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import zipfile
 
@@ -35,14 +36,12 @@ def flat_wins(m: int) -> WinMatrix:
     return WinMatrix(
         entities=tuple(f"e{i}" for i in range(m)),
         wins=np.zeros((m, m)),
-        comparisons=np.zeros((m, m), dtype=int),
     )
 
 
 def lopsided_wins() -> WinMatrix:
     wins = np.array([[0.0, 9.0, 9.0], [1.0, 0.0, 9.0], [1.0, 1.0, 0.0]])
-    comparisons = (wins + wins.T).astype(int)
-    return WinMatrix(entities=("a", "b", "c"), wins=wins, comparisons=comparisons)
+    return WinMatrix(entities=("a", "b", "c"), wins=wins)
 
 
 def one_at_a_time(w: WinMatrix, cov, config: SamplerConfig) -> dict[str, np.ndarray]:
@@ -477,6 +476,17 @@ class TestPersistence:
         assert loaded.proposed == samples.proposed
         assert loaded.config == samples.config
         assert read_chain_metadata(path) == {"jitter_applied": False}
+
+    def test_acceptance_counts_are_stored_once(self, tmp_path, toy_wins, toy_prior):
+        samples = self.make_samples(toy_wins, toy_prior)
+        path = tmp_path / "chain.npz"
+        save_chain(samples, path)
+        with zipfile.ZipFile(path) as archive:
+            assert not {"accepted", "proposed"} & json.loads(archive.read("meta.json")).keys()
+        # a dump whose meta.json also holds the counts, as older dumps do, loads the same
+        rewrite_dump(path, accepted=samples.accepted, proposed=samples.proposed)
+        loaded = load_chain(path)
+        assert (loaded.accepted, loaded.proposed) == (samples.accepted, samples.proposed)
 
     def test_identical_samples_dump_byte_identical_files(self, tmp_path, toy_wins, toy_prior):
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"

@@ -99,11 +99,7 @@ class TestFordsCondition:
         refused = 0
         for _ in range(400):
             wins = random_wins(rng)
-            w = WinMatrix(
-                entities=tuple(f"e{i}" for i in range(len(wins))),
-                wins=wins,
-                comparisons=(wins + wins.T).astype(np.int64),
-            )
+            w = WinMatrix(entities=tuple(f"e{i}" for i in range(len(wins))), wins=wins)
             beats = wins > 0
             if connected_components(beats, directed=True, connection="strong")[0] > 1:
                 refused += 1

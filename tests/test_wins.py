@@ -69,7 +69,8 @@ class TestBuildWinMatrix:
     def test_invariants_on_random_table(self):
         w = build_win_matrix(make_table(m=7, k=11, seed=3))
         assert np.diagonal(w.wins).sum() == 0
-        np.testing.assert_array_equal(w.wins + w.wins.T, w.comparisons.astype(float))
+        assert w.comparisons.dtype == np.int64
+        np.testing.assert_array_equal(w.comparisons, w.wins + w.wins.T)
         assert (w.wins >= 0).all()
 
 
@@ -135,17 +136,15 @@ class TestTotalComparisons:
 
 
 class TestWinMatrixValidation:
-    def test_rejects_inconsistent_totals(self):
-        wins = np.array([[0.0, 2.0], [1.0, 0.0]])
-        comparisons = np.array([[0, 4], [4, 0]])
-        with pytest.raises(ValueError, match="must equal comparisons"):
-            WinMatrix(entities=("a", "b"), wins=wins, comparisons=comparisons)
+    @pytest.mark.parametrize("won", [(0.3, 0.4), (np.nan, 1.0), (np.inf, 1.0)])
+    def test_rejects_a_pair_total_that_is_not_a_finite_whole_number(self, won):
+        wins = np.array([[0.0, won[0]], [won[1], 0.0]])
+        with pytest.raises(ValueError, match="must be a finite whole number"):
+            WinMatrix(entities=("a", "b"), wins=wins)
 
     def test_rejects_nonzero_diagonal(self):
-        wins = np.array([[1.0, 0.0], [0.0, 0.0]])
-        comparisons = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match="diagonal"):
-            WinMatrix(entities=("a", "b"), wins=wins, comparisons=comparisons)
+            WinMatrix(entities=("a", "b"), wins=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestExport:
