@@ -13,11 +13,12 @@ import numpy as np
 
 from .bt import mle_newman
 from .data import (
-    apply_missing_policy, income_for_entities, load_dataset, subset_by_zone, write_csv, write_json
+    apply_missing_policy, income_for_entities, load_dataset, subset_by_zone, write_csv, write_json,
+    write_long_csv,
 )
 from .diagnostics import (
-    _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, long_rows,
-    rank_entities, trace_export,
+    _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, rank_entities,
+    trace_export,
 )
 from .mcmc import SamplerConfig, load_chain, read_chain_metadata, run_chain, save_chain
 from .prior import RATIONAL_QUADRATIC, KernelSpec, build_prior
@@ -212,8 +213,8 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, names, cov=None
     write_json(report.to_dict(), out / "diagnostics.json")
 
     trace, acf, names = trace_export(samples, names, cov=cov, bandwidth=options["bandwidth"])
-    write_csv(out / "traces.csv", ["draw", "parameter", "value"], long_rows(trace, names, 1))
-    write_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], long_rows(acf, names, 0))
+    write_long_csv(out / "traces.csv", ["draw", "parameter", "value"], trace, names, 1)
+    write_long_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], acf, names, 0)
     write_csv(out / "kendall.csv", ["draw", "distance"], report.kendall_series)
     return report
 
@@ -239,6 +240,7 @@ def cmd_fit(args) -> int:
     # fail before sampling; a fit has the prior and run_chain records the log-likelihood
     names = _trace_names(options, config.n_kept, w.m, quad_form=True, loglik=True)
     _check_summary(config.n_kept, options["level"])
+    out = _out_dir(options)
 
     print(
         f"fit: {w.m} entities, {table.k} indicators, {total_comparisons(w)} comparisons; "
@@ -246,7 +248,6 @@ def cmd_fit(args) -> int:
     )
     samples = run_chain(w, cov, config)
 
-    out = _out_dir(options)
     if options["export_win_matrix"]:
         export_win_matrix(w, out / "win_matrix.csv")
     flags = {"jitter_applied": cov.jitter_applied}
@@ -319,8 +320,8 @@ def cmd_simulate(args) -> int:
     kernel = _kernel_spec(options, scales[0] if scales else 0.5)
     spec = _from_options(SimStudySpec, options, kernel=kernel)
     sampler = _from_options(SamplerConfig, options, kernel=kernel)
-    rows = run_recovery_study(spec, sampler)
     out = _out_dir(options)
+    rows = run_recovery_study(spec, sampler)
     write_study_csv(rows, out / "study.csv")
 
     for method in ("bayes", "mle"):

@@ -13,6 +13,10 @@ ZONES = ("low", "middle", "high")
 
 MISSING_POLICIES = ("drop_indicators", "drop_entities")
 
+# rows per write in write_long_csv: about 40 kB of text, so memory stays
+# flat however long the column
+LONG_CSV_CHUNK = 1024
+
 
 def _check_unique(kind: str, names) -> None:
     seen = set()
@@ -340,6 +344,34 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_long_csv(path, header, column, names, first) -> None:
+    """Write a column of equal runs, one per name, as ``index,name,value`` rows.
+
+    ``column`` holds ``len(names)`` runs one after the other, as
+    :func:`btrank.diagnostics.trace_export` returns them; ``index`` counts
+    each run from ``first``.  The file is byte for byte what
+    :func:`write_csv` writes for the same rows, formatted ``LONG_CSV_CHUNK``
+    rows per write: the header cells and names must be identifiers, which
+    the csv module never quotes.  A column whose length is not a multiple of
+    ``len(names)`` raises instead of being mis-sliced.
+    """
+    for cell in (*header, *names):
+        if not cell.isidentifier():
+            raise ValueError(f"long-table header cells and names must be identifiers, got {cell!r}")
+    n = len(column) // len(names) if names else 0
+    if len(column) != n * len(names):
+        raise ValueError(f"{len(column)} values do not split into {len(names)} equal runs")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for name, values in zip(names, np.reshape(column, (len(names), n))):
+            middle = f",{name},"
+            for lo in range(0, n, LONG_CSV_CHUNK):
+                chunk = values[lo : lo + LONG_CSV_CHUNK].tolist()
+                handle.write("".join(
+                    [f"{i}{middle}{v!r}\r\n" for i, v in zip(range(first + lo, first + n), chunk)]
+                ))
 
 
 def write_json(payload, path) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -362,21 +361,6 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
     trace = np.array([series[name] for name in names]).ravel()
     acf = np.array([_normalized_acf(series[name], max_lag) for name in names]).ravel()
     return trace, acf, names
-
-
-def long_rows(column: np.ndarray, names: list[str], first: int):
-    """Iterate ``(index, parameter, value)`` rows of a :func:`trace_export` column.
-
-    ``index`` counts each parameter's values from ``first``: 1 for trace
-    draws, 0 for autocorrelation lags.  A column whose length is not a
-    multiple of ``len(names)`` raises instead of being mis-sliced.
-    """
-    if not names:
-        return iter(())
-    return chain.from_iterable(
-        zip(count(first), repeat(name), values.tolist())
-        for name, values in zip(names, column.reshape(len(names), -1))
-    )
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,31 @@ class TestFailureModes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fit_makes_its_output_directory_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def sample(*args):
+            raise AssertionError("the chain was run before the output directory was made")
+
+        monkeypatch.setattr("btrank.cli.run_chain", sample)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory", encoding="utf-8")
+        default_length = ("--iterations", str(RUN_DEFAULTS["iterations"]), "--burn-in", "none")
+        assert main(fixture_args(out, *default_length)) == 3
+        assert str(out) in capsys.readouterr().err
+
+    def test_simulate_makes_its_output_directory_before_the_study(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def study(*args):
+            raise AssertionError("the study was run before the output directory was made")
+
+        monkeypatch.setattr("btrank.cli.run_recovery_study", study)
+        spec = tmp_path / "study.conf"
+        spec.write_text("", encoding="utf-8")
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory", encoding="utf-8")
+        assert main(["simulate", str(spec), "--out", str(out)]) == 3
+        assert str(out) in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "fit.conf"
         config.write_text("iterationz = 100\n", encoding="utf-8")

@@ -19,7 +19,8 @@ from btrank import (
     load_indicators,
     subset_by_zone,
 )
-from btrank.data import load_polarity, zone_for_income
+from btrank import data
+from btrank.data import load_polarity, write_csv, write_long_csv, zone_for_income
 
 from .conftest import make_table
 
@@ -27,6 +28,22 @@ from .conftest import make_table
 def write(path, text: str):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# values whose shortest round-trip form is not plain: signed zero, the least
+# subnormal, an exponent form, and the three non-finite values
+AWKWARD = [0.1, 12.0, -0.0, 5e-324, 1e16, -1.5e-300, float("nan"), float("inf"), float("-inf")]
+LONG_HEADER = ["draw", "parameter", "value"]
+
+
+def long_csv_pair(tmp_path, column, names, first) -> tuple[bytes, bytes]:
+    """The files that write_long_csv and write_csv make of the same long table."""
+    n = len(column) // len(names) if names else 0
+    runs = np.reshape(column, (len(names), n)).tolist()
+    rows = [(first + k, name, value) for name, run in zip(names, runs) for k, value in enumerate(run)]
+    write_long_csv(tmp_path / "long.csv", LONG_HEADER, column, names, first)
+    write_csv(tmp_path / "rows.csv", LONG_HEADER, rows)
+    return (tmp_path / "long.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
 
 
 class TestLoadPolarity:
@@ -310,3 +327,48 @@ class TestBundledDataset:
             for field in fields(want):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 assert np.array_equal(a, b, equal_nan=True) if isinstance(b, np.ndarray) else a == b
+
+
+class TestWriteLongCsv:
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_matches_the_csv_module_byte_for_byte(self, tmp_path, first):
+        column = np.array(AWKWARD + [-x for x in AWKWARD])
+        long, rows = long_csv_pair(tmp_path, column, ["merit0", "variance"], first)
+        assert long == rows
+        lines = long.split(b"\r\n")
+        assert lines[1] == f"{first},merit0,0.1".encode()
+        assert lines[len(AWKWARD) + 3] == f"{first + 2},variance,0.0".encode()
+
+    @pytest.mark.parametrize("chunk", [1, 3, len(AWKWARD) - 1, len(AWKWARD), len(AWKWARD) + 1])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_chunk_edges_leave_the_bytes_alone(self, tmp_path, monkeypatch, chunk, first):
+        monkeypatch.setattr(data, "LONG_CSV_CHUNK", chunk)
+        noise = np.random.default_rng(3).standard_normal(len(AWKWARD)).tolist()
+        column = np.array(AWKWARD + noise + AWKWARD[::-1])
+        long, rows = long_csv_pair(tmp_path, column, ["merit0", "quad_form", "loglik"], first)
+        assert long == rows
+        assert long.count(b"\r\n") == 1 + len(column)
+
+    def test_no_names_give_the_header_alone(self, tmp_path):
+        long, rows = long_csv_pair(tmp_path, np.empty(0), [], 1)
+        assert long == rows == b"draw,parameter,value\r\n"
+
+    def test_a_column_of_the_wrong_length_is_rejected(self, tmp_path):
+        path = tmp_path / "long.csv"
+        with pytest.raises(ValueError, match="do not split into 2 equal runs"):
+            write_long_csv(path, LONG_HEADER, np.zeros(7), ["merit0", "merit1"], 1)
+        with pytest.raises(ValueError, match="do not split into 0 equal runs"):
+            write_long_csv(path, LONG_HEADER, np.zeros(3), [], 1)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header, names", [
+        (LONG_HEADER, ["merit0", "a,b"]),
+        (LONG_HEADER, ['say "hi"']),
+        (LONG_HEADER, [""]),
+        (["draw", "parameter value", "value"], ["merit0"]),
+    ])
+    def test_a_cell_the_csv_module_might_quote_is_rejected(self, tmp_path, header, names):
+        path = tmp_path / "long.csv"
+        with pytest.raises(ValueError, match="must be identifiers"):
+            write_long_csv(path, header, np.zeros(len(names)), names, 1)
+        assert not path.exists()

@@ -31,7 +31,7 @@ from btrank import (
     univariate_ess,
 )
 from btrank import diagnostics
-from btrank.diagnostics import _ess_core, _fft_autocovariance, default_bandwidth, long_rows
+from btrank.diagnostics import _ess_core, _fft_autocovariance, default_bandwidth
 
 from .conftest import make_income, rewrite_dump, toy_samples
 
@@ -351,21 +351,6 @@ class TestTraceExport:
         assert names == ["merit0"]
         assert acf.shape == (6,)
         assert acf[0] == 1.0
-
-    def test_long_rows_number_draws_from_one_and_lags_from_zero(self):
-        trace, acf, names = trace_export(self.samples, params=["merit2", "variance"], bandwidth=5)
-        trace_rows = list(long_rows(trace, names, 1))
-        assert trace_rows[0] == (1, "merit2", float(self.draws[0, 2]))
-        assert trace_rows[59] == (60, "merit2", float(self.draws[59, 2]))
-        assert trace_rows[60] == (1, "variance", 1.0)
-        acf_rows = list(long_rows(acf, names, 0))
-        assert [row[:2] for row in acf_rows] == [(k, p) for p in names for k in range(6)]
-        assert [row[2] for row in acf_rows[::6]] == [1.0, 1.0]
-
-    def test_long_rows_reject_a_column_of_the_wrong_length(self):
-        trace, _, names = trace_export(self.samples, params=["merit0", "merit1"])
-        with pytest.raises(ValueError):
-            list(long_rows(trace[:-1], names, 1))
 
     def test_no_parameters_give_empty_columns(self):
         trace, acf, names = trace_export(self.samples, params=[])
