@@ -34,14 +34,18 @@ def win_probability(merit_i: float, merit_j: float) -> float:
 def _log_likelihood(merits: np.ndarray, pairs: PairList) -> np.ndarray:
     """Log-likelihood of each merit vector along the last axis of ``merits``.
 
-    The softplus ``log(1 + exp(d))`` is written as ``log1p(exp(-|d|)) +
-    max(d, 0)``, which stays finite for large gaps and, unlike ``logaddexp``,
-    runs as vectorised ufuncs.  Every reduction runs along the last axis, so
-    a row's value does not depend on the other rows beside it.
+    In strength form, ``total_wins @ m - sum_k counts[k] log(exp(m_i) +
+    exp(m_j))``, after a shift of each vector to a zero largest merit, which
+    leaves the value unchanged since the wins add up to the contests.  It is
+    exact to rounding while each compared pair has a merit within about 708
+    of the largest; past about 745 both strengths underflow and the value is
+    ``+inf``.  Every reduction runs along the last axis, so a row's value
+    does not depend on the other rows beside it.
     """
-    d = merits.take(pairs.j, axis=-1) - merits.take(pairs.i, axis=-1)
-    softplus = np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0.0)
-    return np.vecdot(merits, pairs.score) - np.vecdot(softplus, pairs.counts)
+    shifted = merits - merits.max(axis=-1, keepdims=True)
+    strength = np.exp(shifted)
+    pair_strength = strength.take(pairs.i, axis=-1) + strength.take(pairs.j, axis=-1)
+    return np.vecdot(shifted, pairs.total_wins) - np.vecdot(np.log(pair_strength), pairs.counts)
 
 
 def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
@@ -49,14 +53,26 @@ def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
 
     Binomial coefficients are constant in the merits and omitted.  Each pair
     ``i < j`` contributes ``wins[i,j] log pi_ij + wins[j,i] log pi_ji``,
-    written as ``wins[j,i] (m_j - m_i) - comparisons[i,j] log(1 + exp(m_j - m_i))``
-    and evaluated over the compared pairs only, so large merit gaps stay
-    finite.
+    summed in the strength form ``wins[i,j] m_i + wins[j,i] m_j -
+    comparisons[i,j] log(exp(m_i) + exp(m_j))`` over the compared pairs only.
+
+    Raises
+    ------
+    ValueError
+        If the value is not finite: a merit is not finite, or both merits of
+        a compared pair lie more than about 745 below the largest merit.
     """
     merits = np.asarray(merits, dtype=float)
     if merits.shape != (w.m,):
         raise ValueError(f"merits must have shape {(w.m,)}, got {merits.shape}")
-    return float(_log_likelihood(merits, w.pairs))
+    with np.errstate(all="ignore"):
+        value = float(_log_likelihood(merits, w.pairs))
+    if not math.isfinite(value):
+        raise ValueError(
+            "log-likelihood is not finite: merits must be finite, and each compared pair "
+            "needs a merit within about 745 of the largest merit"
+        )
+    return value
 
 
 def _reach(adjacency: np.ndarray, seen: np.ndarray) -> np.ndarray:

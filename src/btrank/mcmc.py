@@ -154,10 +154,13 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     While the chain rejects, ``u`` does not move, so the proposals and
     accept tests of the next iterations are known in advance.  They are
     scored together in one likelihood call, up to ``BATCH`` at a time and
-    about twice the running number of iterations per acceptance, and the
-    chain moves to the first accepted one; proposals scored past it are
-    discarded.  Every merit vector and log-likelihood is computed row by
-    row, so the draws do not depend on how the iterations were batched.
+    about twice the running number of iterations per acceptance.  The
+    accept tests then run one by one on Python floats and stop at the first
+    acceptance; the chain moves there, and proposals scored past it are
+    discarded unchecked.  The Gibbs scale and the contracted state ``sqrt(1
+    - beta^2) u`` are recomputed only when the chain moves.  Every merit
+    vector and log-likelihood is computed row by row, so the draws do not
+    depend on how the iterations were batched.
     """
     if w.m != cov.m:
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
@@ -168,9 +171,12 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     shape = _gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
     pairs, factor = w.pairs, cov.factor
 
+    # the state and what each proposal takes from it change only on acceptance
     u = np.zeros(cov.rank)
+    scale = config.prior_scale if pinned is None else pinned
+    pulled = contraction * u
     merits = np.zeros(w.m)
-    loglik = _log_likelihood(merits, pairs)
+    loglik = float(_log_likelihood(merits, pairs))
     accepted = 0
 
     n_post, n_kept = config.iterations - config.burn_in, config.n_kept
@@ -183,7 +189,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
         size = min(BLOCK, config.iterations - start)
         noise = config.beta * rng.standard_normal((size, cov.rank))
         gammas = rng.standard_gamma(shape, size) if pinned is None else np.ones(size)
-        log_uniforms = np.log(rng.random(size))
+        log_uniforms = np.log(rng.random(size)).tolist()
         variances = np.empty(size)
         # row 0 is the state the block starts from, row r its r-th acceptance
         states = np.empty((size + 1, w.m))
@@ -195,25 +201,26 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
         k = 0
         while k < size:
             stop = k + min(BATCH, size - k, 2 * (start + k + 2) // (accepted + 1))
-            scale = config.prior_scale + float(u @ u) if pinned is None else pinned
             batch_variances = np.divide(scale, gammas[k:stop], out=variances[k:stop])
             proposals = np.sqrt(batch_variances)[:, None] * noise[k:stop]
-            proposals += contraction * u
+            proposals += pulled
             proposal_merits = np.vecdot(proposals[:, None, :], factor)
-            logliks = _log_likelihood(proposal_merits, pairs)
-            hits = log_uniforms[k:stop] < logliks - loglik
-            j = int(hits.argmax())
-            scored = j + 1 if hits[j] else stop - k
-            if not np.isfinite(logliks[:scored]).all():
-                t = start + k + int(np.isfinite(logliks).argmin()) + 1
-                raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
-            if hits[j]:
-                u, merits, loglik = proposals[j], proposal_merits[j], logliks[j]
-                accepted += 1
-                n_moves += 1
-                moves[k + j] = True
-                states[n_moves], state_logliks[n_moves] = merits, loglik
-            k += scored
+            # scan to the first acceptance; rows past it are never checked
+            for row, proposed in enumerate(_log_likelihood(proposal_merits, pairs).tolist(), k):
+                if not math.isfinite(proposed):
+                    t = start + row + 1
+                    raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
+                if log_uniforms[row] < proposed - loglik:
+                    u, merits, loglik = proposals[row - k], proposal_merits[row - k], proposed
+                    if pinned is None:
+                        scale = config.prior_scale + float(u @ u)
+                    pulled = contraction * u
+                    accepted += 1
+                    n_moves += 1
+                    moves[row] = True
+                    states[n_moves], state_logliks[n_moves] = merits, loglik
+                    break
+            k = row + 1
 
         # iteration ``start + i + 1`` has post-burn-in offset ``post[i]``
         post = np.arange(start - config.burn_in, start - config.burn_in + size)

@@ -16,16 +16,15 @@ TIE_POLICIES = ("split", "drop")
 class PairList(NamedTuple):
     """The compared pairs ``i[k] < j[k]`` of a win matrix.
 
-    ``counts[k]`` is the number of contests between the pair.  ``score[e]``
-    adds ``wins[j, i]`` over the pairs where ``e`` is ``j`` and subtracts it
-    over the pairs where ``e`` is ``i``, so that ``score @ merits`` equals
-    ``sum_k wins[j, i] * (merits[j] - merits[i])``.
+    ``counts[k]`` is the number of contests between the pair, and
+    ``total_wins[e]`` is the number of contests entity ``e`` won against
+    anyone, ``wins[e].sum()``.
     """
 
     i: np.ndarray
     j: np.ndarray
     counts: np.ndarray
-    score: np.ndarray
+    total_wins: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,7 @@ class WinMatrix:
     def pairs(self) -> PairList:
         """Pairs with at least one contest, built on first use and kept."""
         i, j = np.nonzero(np.triu(self.comparisons > 0, 1))
-        later_wins = self.wins[j, i]
-        score = np.bincount(j, later_wins, self.m) - np.bincount(i, later_wins, self.m)
-        return PairList(i, j, self.comparisons[i, j].astype(float), score)
+        return PairList(i, j, self.comparisons[i, j].astype(float), self.wins.sum(axis=1))
 
 
 def build_win_matrix(table: IndicatorTable, tie_policy: str = "split") -> WinMatrix:

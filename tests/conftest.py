@@ -106,6 +106,27 @@ def csv_floats(path, column: str) -> np.ndarray:
         return np.array([float(row[column]) for row in csv.DictReader(handle)])
 
 
+def dense_log_likelihood(merits, w):
+    """The likelihood summed over every ordered cell, the form the pair list replaces."""
+    diff = merits[..., None, :] - merits[..., :, None]
+    return -np.sum(w.wins * np.logaddexp(0.0, diff), axis=(-2, -1))
+
+
+def softplus_log_likelihood(merits, w):
+    """The pair-list likelihood in softplus form, the form the strength form replaces.
+
+    Each compared pair ``i < j`` adds ``wins[j,i] (m_j - m_i) - comparisons[i,j]
+    softplus(m_j - m_i)``, with the softplus written as ``log1p(exp(-|d|)) +
+    max(d, 0)``; every reduction runs along the last axis.
+    """
+    i, j, counts = w.pairs.i, w.pairs.j, w.pairs.counts
+    later_wins = w.wins[j, i]
+    score = np.bincount(j, later_wins, w.m) - np.bincount(i, later_wins, w.m)
+    d = merits.take(j, axis=-1) - merits.take(i, axis=-1)
+    softplus = np.log1p(np.exp(-np.abs(d))) + np.maximum(d, 0.0)
+    return np.vecdot(merits, score) - np.vecdot(softplus, counts)
+
+
 @pytest.fixture
 def toy_table() -> IndicatorTable:
     return make_table()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from btrank import (
 )
 from btrank.bt import _log_likelihood
 
-from .conftest import make_table
+from .conftest import dense_log_likelihood, make_table
 
 
 def wins_matrix(wins, entities=None):
@@ -68,6 +70,22 @@ class TestLogLikelihood:
         w = wins_matrix([[0.0, 1.0], [1.0, 0.0]])
         assert np.isfinite(log_likelihood(np.array([500.0, -500.0]), w))
 
+    @pytest.mark.parametrize(
+        "merits",
+        [
+            [800.0, -400.0, -400.0],  # both strengths of the pair (1, 2) underflow to zero
+            [np.nan, 0.0, 0.0],
+            [np.inf, 0.0, 0.0],
+            [1e308, -1e308, 0.0],
+        ],
+    )
+    def test_a_value_that_is_not_finite_is_an_error(self, merits):
+        w = wins_matrix(np.ones((3, 3)) - np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning beside it
+            with pytest.raises(ValueError, match="not finite"):
+                log_likelihood(np.array(merits), w)
+
     def test_shape_mismatch(self, toy_wins):
         m = toy_wins.m
         # (2, m) is a draw array, a form the likelihood no longer takes
@@ -76,17 +94,11 @@ class TestLogLikelihood:
                 log_likelihood(np.zeros(shape), toy_wins)
 
 
-def dense_log_likelihood(merits, w):
-    """The likelihood summed over every ordered cell, the form the pair list replaces."""
-    diff = merits[..., None, :] - merits[..., :, None]
-    return -np.sum(w.wins * np.logaddexp(0.0, diff), axis=(-2, -1))
-
-
 class TestPairListOracle:
     """The pair-list likelihood against the dense ordered-cell sum."""
 
-    def check(self, w, seed):
-        draws = np.random.default_rng(seed).normal(scale=1.5, size=(700, w.m))
+    def check(self, w, seed, offset=0.0):
+        draws = np.random.default_rng(seed).normal(scale=1.5, size=(700, w.m)) + offset
         np.testing.assert_allclose(
             [log_likelihood(merits, w) for merits in draws], dense_log_likelihood(draws, w),
             rtol=1e-9,
@@ -95,6 +107,11 @@ class TestPairListOracle:
     def test_bundled_win_matrix(self, fixture_dataset):
         table, _ = fixture_dataset
         self.check(build_win_matrix(apply_missing_policy(table, "drop_indicators")), seed=1)
+
+    @pytest.mark.parametrize("offset", [-1000.0, 1000.0])
+    def test_a_large_common_offset(self, fixture_dataset, offset):
+        table, _ = fixture_dataset
+        self.check(build_win_matrix(apply_missing_policy(table, "drop_indicators")), 3, offset)
 
     def test_half_wins_and_an_uncompared_pair(self):
         wins = np.array(

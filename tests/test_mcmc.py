@@ -15,7 +15,9 @@ from btrank import (
     KernelSpec,
     SamplerConfig,
     WinMatrix,
+    apply_missing_policy,
     build_prior,
+    build_win_matrix,
     gibbs_variance,
     load_chain,
     log_likelihood,
@@ -28,7 +30,7 @@ from btrank import mcmc
 from btrank.bt import _log_likelihood
 from btrank.mcmc import BLOCK, read_chain_metadata
 
-from .conftest import make_income, rewrite_dump, toy_samples
+from .conftest import make_income, rewrite_dump, softplus_log_likelihood, toy_samples
 
 
 def flat_wins(m: int) -> WinMatrix:
@@ -376,6 +378,23 @@ class TestBatchedProposals:
         assert first == config.iterations
         assert any(a < config.burn_in < b for a, b in spans)
         assert max(rows) > 2
+
+
+def test_the_softplus_likelihood_runs_the_same_chain(fixture_dataset, monkeypatch):
+    # the strength form moves the log-likelihood by rounding only, so on the
+    # bundled data no accept test changes its outcome
+    table, income = fixture_dataset
+    w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+    cov = build_prior(income, KernelSpec("squared_exponential", 0.09))
+    config = SamplerConfig(beta=0.009, iterations=3000, seed=17)
+    samples = run_chain(w, cov, config)
+    monkeypatch.setattr(mcmc, "_log_likelihood",
+                        lambda merits, pairs: softplus_log_likelihood(merits, w))
+    oracle = run_chain(w, cov, config)
+    for name in ("merit_draws", "variance_draws", "accept_flags"):
+        assert getattr(samples, name).tobytes() == getattr(oracle, name).tobytes(), name
+    np.testing.assert_allclose(samples.loglik_draws, oracle.loglik_draws, rtol=1e-12)
+    assert not np.array_equal(samples.loglik_draws, oracle.loglik_draws)
 
 
 class TestPosteriorMean:
