@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of ten fixed-seed btrank runs.
+"""Print a sha256 digest of every output of eleven fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -52,6 +52,9 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
         # the only exported win matrix whose contest counts leave ties out
         ("fit_tie_drop", ["fit", *inputs, "--tie-policy", "drop", "--export-win-matrix",
                           "--iterations", "3000", "--seed", "4"]),
+        # acceptance about 0.014: runs of about 70 equal trace rows cross the
+        # 1,024-row chunk edges of data.write_long_csv
+        ("fit_sticky", ["fit", *inputs, "--beta", "0.03", "--iterations", "4000", "--seed", "6"]),
         ("mle_drop", ["mle", *inputs, "--missing-policy", "drop_entities",
                       "--drop-entities", "Chandigarh"]),
         ("mle_tie_drop", ["mle", *inputs, "--tie-policy", "drop"]),

@@ -354,8 +354,11 @@ def write_long_csv(path, header, column, names, first) -> None:
     each run from ``first``.  The file is byte for byte what
     :func:`write_csv` writes for the same rows, formatted ``LONG_CSV_CHUNK``
     rows per write: the header cells and names must be identifiers, which
-    the csv module never quotes.  A column whose length is not a multiple of
-    ``len(names)`` raises instead of being mis-sliced.
+    the csv module never quotes.  Within a chunk, each run of bit-identical
+    consecutive values is formatted once and its text reused, since a
+    Metropolis-Hastings chain repeats its state on every rejection.  The
+    column must hold float64 values.  A column whose length is not a
+    multiple of ``len(names)`` raises instead of being mis-sliced.
     """
     for cell in (*header, *names):
         if not cell.isidentifier():
@@ -368,10 +371,17 @@ def write_long_csv(path, header, column, names, first) -> None:
         for name, values in zip(names, np.reshape(column, (len(names), n))):
             middle = f",{name},"
             for lo in range(0, n, LONG_CSV_CHUNK):
-                chunk = values[lo : lo + LONG_CSV_CHUNK].tolist()
-                handle.write("".join(
-                    [f"{i}{middle}{v!r}\r\n" for i, v in zip(range(first + lo, first + n), chunk)]
-                ))
+                chunk = values[lo : lo + LONG_CSV_CHUNK]
+                # compare bits, not values: 0.0 == -0.0 prints differently
+                # and nan != nan
+                bits = chunk.view(np.int64)
+                starts = np.ones(len(chunk), dtype=bool)
+                np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+                texts = np.array([repr(v) for v in chunk[starts].tolist()], dtype=object)
+                handle.write("".join([
+                    f"{i}{middle}{text}\r\n"
+                    for i, text in zip(range(first + lo, first + n), texts[np.cumsum(starts) - 1].tolist())
+                ]))
 
 
 def write_json(payload, path) -> None:

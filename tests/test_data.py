@@ -349,6 +349,40 @@ class TestWriteLongCsv:
         assert long == rows
         assert long.count(b"\r\n") == 1 + len(column)
 
+    # repeated values are formatted once per run; these neighbours must not
+    # share a run, or must share one exactly
+    NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000,
+                             0x7FF0000000000001], dtype=np.int64).view(np.float64)
+    ULP = [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(0.0, 1.0), 0.0]
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+        NAN_PAYLOADS.tolist() + NAN_PAYLOADS[::-1].tolist(),
+        ULP + ULP[::-1],
+        [0.3] * 12,
+    ], ids=["signed_zeros", "nan_payloads", "one_ulp_apart", "constant"])
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 1024])
+    def test_neighbours_keep_their_own_text(self, tmp_path, monkeypatch, values, chunk):
+        monkeypatch.setattr(data, "LONG_CSV_CHUNK", chunk)
+        column = np.array(values + values[::-1])
+        long, rows = long_csv_pair(tmp_path, column, ["merit0", "loglik"], 1)
+        assert long == rows
+
+    RUN = 4
+
+    @pytest.mark.parametrize("chunk", [1, 2, RUN - 1, RUN, RUN + 1])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_runs_crossing_a_chunk_edge_leave_the_bytes_alone(self, tmp_path, monkeypatch, chunk, first):
+        monkeypatch.setattr(data, "LONG_CSV_CHUNK", chunk)
+        # runs of RUN equal values, as a rejecting chain writes them, at
+        # every offset from the chunk edges
+        heads = [0.25, -0.0, 0.0, 1e16, float("nan"), 0.25, -1.5e-300]
+        values = [v for v in heads for _ in range(self.RUN)]
+        column = np.array(values + values[1:] + values[:1] + values[2:] + values[:2])
+        long, rows = long_csv_pair(tmp_path, column, ["merit0", "quad_form", "loglik"], first)
+        assert long == rows
+        assert long.count(b"\r\n") == 1 + len(column)
+
     def test_no_names_give_the_header_alone(self, tmp_path):
         long, rows = long_csv_pair(tmp_path, np.empty(0), [], 1)
         assert long == rows == b"draw,parameter,value\r\n"

@@ -17,6 +17,7 @@ from btrank import (
     rank_entities,
     summarize,
 )
+from btrank.report import _outranking
 
 
 def samples_from(draws: np.ndarray) -> ChainSamples:
@@ -136,7 +137,7 @@ class TestOutrankingOracle:
 
     def test_quantised_draws(self):
         rng = np.random.default_rng(45)
-        # at M=33 the 5000 draws span three chunks, and rounding to 0.1 makes many ties
+        # at M=33 the 5000 draws span six chunks, and rounding to 0.1 makes many ties
         for m, n, scale in ((3, 4000, 0.3), (33, 5000, 0.2), (7, 333, 1.0)):
             draws = np.round(np.linspace(-1.0, 1.0, m) + scale * rng.standard_normal((n, m)), 1)
             self.check(draws)
@@ -144,6 +145,42 @@ class TestOutrankingOracle:
     def test_all_equal_draws(self):
         self.check(np.zeros((150, 4)))
         self.check(np.full((101, 2), 0.3))
+
+
+def rejecting_chain(rng, n, m, accept):
+    """Draws that repeat the row before them unless a proposal is accepted."""
+    fresh = np.round(rng.standard_normal((n, m)), 1)
+    moved = rng.random(n) < accept
+    moved[0] = True
+    return fresh[np.maximum.accumulate(np.where(moved, np.arange(n), 0))]
+
+
+class TestOutrankingOverRuns:
+    """Each run of equal rows compared once and weighted, against one count per draw."""
+
+    def check(self, draws):
+        n = len(draws)
+        wins = (draws[:, :, None] > draws[:, None, :]).sum(axis=0)
+        assert _outranking(draws).tobytes() == ((n + wins - wins.T) / (2.0 * n)).tobytes()
+
+    def test_repeated_rows(self):
+        rng = np.random.default_rng(46)
+        # at M=33 a chunk holds 918 draws, so some runs cross a chunk edge
+        for m, n, accept in ((33, 4000, 0.05), (33, 3000, 0.3), (4, 500, 0.014), (5, 300, 1.0)):
+            self.check(rejecting_chain(rng, n, m, accept))
+
+    def test_exact_ties(self):
+        draws = rejecting_chain(np.random.default_rng(47), 400, 6, 0.3)
+        draws[:, 1] = draws[:, 0]
+        draws[::3, 2] = draws[::3, 4]
+        self.check(draws)
+        self.check(np.zeros((150, 3)))
+
+    def test_rows_that_differ_in_the_sign_of_zero(self):
+        draws = np.tile([0.0, 0.0, 0.5, -0.25], (120, 1))
+        draws[1::2, :2] = -0.0
+        draws[::7, 1] = -0.0
+        self.check(draws)
 
 
 class TestRankingReportValidation:
