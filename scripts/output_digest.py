@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every output of eleven fixed-seed btrank runs.
+"""Print a sha256 digest of every output of twelve fixed-seed btrank runs.
 
 Run it at two commits and diff the results: identical lines mean the commits
 write byte-identical outputs for these runs, so a change that is meant to keep
@@ -55,6 +55,9 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
         # acceptance about 0.014: runs of about 70 equal trace rows cross the
         # 1,024-row chunk edges of data.write_long_csv
         ("fit_sticky", ["fit", *inputs, "--beta", "0.03", "--iterations", "4000", "--seed", "6"]),
+        # 100,003 kept draws: above diagnostics.TRACE_EXPORT_CAP, so traces.csv
+        # holds every second draw
+        ("fit_strided", ["fit", *inputs, "--iterations", "100003", "--burn-in", "0", "--seed", "7"]),
         ("mle_drop", ["mle", *inputs, "--missing-policy", "drop_entities",
                       "--drop-entities", "Chandigarh"]),
         ("mle_tie_drop", ["mle", *inputs, "--tie-policy", "drop"]),

@@ -18,7 +18,7 @@ from .data import (
 )
 from .diagnostics import (
     _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, rank_entities,
-    trace_export,
+    trace_export, trace_stride,
 )
 from .mcmc import SamplerConfig, load_chain, read_chain_metadata, run_chain, save_chain
 from .prior import RATIONAL_QUADRATIC, KernelSpec, build_prior
@@ -213,8 +213,11 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, names, cov=None
     write_json(report.to_dict(), out / "diagnostics.json")
 
     trace, acf, names = trace_export(samples, names, cov=cov, bandwidth=options["bandwidth"])
-    write_long_csv(out / "traces.csv", ["draw", "parameter", "value"], trace, names, 1)
-    write_long_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], acf, names, 0)
+    # the draw column numbers the kept draws from 1, so the stride shows
+    draws = range(1, samples.n_kept + 1, trace_stride(samples.n_kept))
+    write_long_csv(out / "traces.csv", ["draw", "parameter", "value"], trace, names, draws)
+    lags = range(len(acf) // max(len(names), 1))
+    write_long_csv(out / "acf.csv", ["lag", "parameter", "autocorrelation"], acf, names, lags)
     write_csv(out / "kendall.csv", ["draw", "distance"], report.kendall_series)
     return report
 

@@ -346,30 +346,33 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_long_csv(path, header, column, names, first) -> None:
+def write_long_csv(path, header, column, names, index) -> None:
     """Write a column of equal runs, one per name, as ``index,name,value`` rows.
 
-    ``column`` holds ``len(names)`` runs one after the other, as
-    :func:`btrank.diagnostics.trace_export` returns them; ``index`` counts
-    each run from ``first``.  The file is byte for byte what
-    :func:`write_csv` writes for the same rows, formatted ``LONG_CSV_CHUNK``
-    rows per write: the header cells and names must be identifiers, which
-    the csv module never quotes.  Within a chunk, each run of bit-identical
-    consecutive values is formatted once and its text reused, since a
-    Metropolis-Hastings chain repeats its state on every rejection.  The
-    column must hold float64 values.  A column whose length is not a
-    multiple of ``len(names)`` raises instead of being mis-sliced.
+    ``column`` holds ``len(names)`` runs of ``len(index)`` values one after
+    the other, as :func:`btrank.diagnostics.trace_export` returns them, and
+    ``index`` (a ``range``, say) labels the rows of every run.  The file is
+    byte for byte what :func:`write_csv` writes for the same rows, formatted
+    ``LONG_CSV_CHUNK`` rows per write: the header cells and names must be
+    identifiers, which the csv module never quotes.  Each index text is
+    formatted once and shared by every name.  Within a chunk, each run of
+    bit-identical consecutive values is formatted once and its text reused,
+    since a Metropolis-Hastings chain repeats its state on every rejection.
+    The column must hold float64 values.  A column whose length is not
+    ``len(names) * len(index)`` raises instead of being mis-sliced.
     """
     for cell in (*header, *names):
         if not cell.isidentifier():
             raise ValueError(f"long-table header cells and names must be identifiers, got {cell!r}")
-    n = len(column) // len(names) if names else 0
+    n = len(index)
     if len(column) != n * len(names):
-        raise ValueError(f"{len(column)} values do not split into {len(names)} equal runs")
+        raise ValueError(f"{len(column)} values do not split into {len(names)} equal runs of {n}")
+    index_texts = [f"{i}," for i in index]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
         for name, values in zip(names, np.reshape(column, (len(names), n))):
-            middle = f",{name},"
+            # rows laid out as [index text, "name,", value text, "\r\n"]
+            parts = ["", f"{name},", "", "\r\n"] * min(n, LONG_CSV_CHUNK)
             for lo in range(0, n, LONG_CSV_CHUNK):
                 chunk = values[lo : lo + LONG_CSV_CHUNK]
                 # compare bits, not values: 0.0 == -0.0 prints differently
@@ -377,11 +380,12 @@ def write_long_csv(path, header, column, names, first) -> None:
                 bits = chunk.view(np.int64)
                 starts = np.ones(len(chunk), dtype=bool)
                 np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-                texts = np.array([repr(v) for v in chunk[starts].tolist()], dtype=object)
-                handle.write("".join([
-                    f"{i}{middle}{text}\r\n"
-                    for i, text in zip(range(first + lo, first + n), texts[np.cumsum(starts) - 1].tolist())
-                ]))
+                texts = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
+                size = 4 * len(chunk)
+                del parts[size:]
+                parts[0::4] = index_texts[lo : lo + LONG_CSV_CHUNK]
+                parts[2::4] = texts[np.cumsum(starts) - 1].tolist()
+                handle.write("".join(parts))
 
 
 def write_json(payload, path) -> None:

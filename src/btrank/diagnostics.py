@@ -21,6 +21,14 @@ LONGRUN_BLOCK = 4096
 # temporary stays small next to the draws: about 270 kB at M=33
 QUAD_FORM_BLOCK = 1024
 
+# windows per comparison in rank_stability_series: at M=33 the (block, M, M)
+# pair comparison takes about 1 MB
+RANK_STABILITY_BLOCK = 1024
+
+# most draws per parameter that trace_export returns; a longer chain's draws
+# are strided, since the file would otherwise grow without bound
+TRACE_EXPORT_CAP = 100_000
+
 
 def default_bandwidth(n: int) -> int:
     """Bartlett window width used when none is requested: floor(N^(1/3))."""
@@ -294,7 +302,17 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
     sums = np.cumsum(np.add.reduceat(samples.merit_draws, np.arange(0, n, window), axis=0), axis=0)
     final = rank_entities(sums[-1] / n)
     points = list(range(window, n, window)) + [n]
-    return [(t, kendall_tau_distance(rank_entities(s / t), final)) for t, s in zip(points, sums)]
+    upper = np.triu(np.ones((len(final), len(final)), dtype=bool), 1)
+    distances = []
+    for lo in range(0, len(points), RANK_STABILITY_BLOCK):
+        ends = np.array(points[lo : lo + RANK_STABILITY_BLOCK], dtype=float)
+        # each window's entities from first to last (a stable sort of the
+        # negated means breaks ties as rank_entities does), by final rank:
+        # a pair out of order is discordant
+        order = final[np.argsort(-(sums[lo : lo + len(ends)] / ends[:, None]), axis=1, kind="stable")]
+        discordant = (order[:, :, None] > order[:, None, :]) & upper
+        distances += np.count_nonzero(discordant, axis=(1, 2)).tolist()
+    return list(zip(points, distances))
 
 
 def _normalized_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -327,6 +345,15 @@ def _resolve_params(params, m: int, quad_form: bool, loglik: bool) -> list[str]:
     return names
 
 
+def trace_stride(n_kept: int) -> int:
+    """Stride of the kept draws that :func:`trace_export` returns.
+
+    ``ceil(n_kept / TRACE_EXPORT_CAP)``, so at most ``TRACE_EXPORT_CAP``
+    draws of each parameter are exported: kept draws 0, stride, 2 stride, ...
+    """
+    return max(1, -(-n_kept // TRACE_EXPORT_CAP))
+
+
 def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance | None = None,
                  bandwidth: int | None = None):
     """Trace and autocorrelation columns for external plotting.
@@ -335,10 +362,11 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
     ``variance``, ``quad_form`` (which needs ``cov``), and ``loglik`` (the
     chain's own log-likelihood, which needs ``samples.loglik_draws``), or
     ``"all"`` for everything available from the inputs given.  Returns
-    ``(trace, acf, names)``: ``trace`` holds every kept draw of each
-    parameter in ``names``, one parameter after the other, and ``acf`` holds
-    each parameter's autocorrelations at lags 0 to the bandwidth (at most
-    ``n_kept - 1``) in the same order.
+    ``(trace, acf, names)``: ``trace`` holds every ``trace_stride(n_kept)``-th
+    kept draw, from the first, of each parameter in ``names``, one parameter
+    after the other, and ``acf`` holds each parameter's autocorrelations at
+    lags 0 to the bandwidth (at most ``n_kept - 1``) in the same order.  The
+    autocorrelations, like every diagnostic, use every kept draw.
     """
     names = _resolve_params(params, samples.m, cov is not None, samples.loglik_draws is not None)
     n = samples.n_kept
@@ -357,8 +385,9 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
 
     b = default_bandwidth(n) if bandwidth is None else _check_bandwidth(bandwidth, n)
     max_lag = min(b, n - 1)
+    stride = trace_stride(n)
     # stacked then flattened, so an empty ``names`` gives empty columns
-    trace = np.array([series[name] for name in names]).ravel()
+    trace = np.array([series[name][::stride] for name in names]).ravel()
     acf = np.array([_normalized_acf(series[name], max_lag) for name in names]).ravel()
     return trace, acf, names
 

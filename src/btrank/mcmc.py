@@ -25,6 +25,9 @@ BLOCK = 1024
 # most proposals scored in one likelihood call; it sets the speed, never the draws
 BATCH = 64
 
+# bytes per write when save_chain streams an array into its zip entry
+DUMP_SLICE = 1 << 20
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -262,16 +265,27 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
     byte-identical files.  ``loglik_draws`` is written only when set.
     ``meta.json`` holds the sampler settings and ``metadata``, which may
     carry extra JSON-serializable context (for example prior flags)
-    retrievable via ``read_chain_metadata``.
+    retrievable via ``read_chain_metadata``.  Each array is streamed into
+    its entry ``DUMP_SLICE`` bytes at a time, without a copy of it.
     """
     meta = {"config": asdict(samples.config), "extra": metadata or {}}
     names = ("merit_draws", "variance_draws", "accept_flags", "loglik_draws")
     arrays = {name: getattr(samples, name) for name in names if getattr(samples, name) is not None}
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
         for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
             buffer = io.BytesIO()
-            np.lib.format.write_array(buffer, np.ascontiguousarray(array), allow_pickle=False)
-            archive.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=_EPOCH), buffer.getvalue())
+            np.lib.format.write_array_header_1_0(buffer, np.lib.format.header_data_from_array_1_0(array))
+            header = buffer.getvalue()
+            data = array.reshape(-1).view(np.uint8)
+            # the entry's size is set before it opens, as writestr sets it,
+            # so the archive keeps its bytes
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=_EPOCH)
+            info.file_size = len(header) + len(data)
+            with archive.open(info, "w") as entry:
+                entry.write(header)
+                for start in range(0, len(data), DUMP_SLICE):
+                    entry.write(data[start : start + DUMP_SLICE])
         payload = json.dumps(meta, sort_keys=True).encode("utf-8")
         archive.writestr(zipfile.ZipInfo("meta.json", date_time=_EPOCH), payload)
 

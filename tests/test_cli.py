@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from btrank import (
-    build_prior, build_win_matrix, load_chain, mle_newman, save_chain, summarize, trace_export
+    KernelSpec, build_prior, build_win_matrix, diagnostics, load_chain, mle_newman, save_chain,
+    summarize, trace_export,
 )
 from btrank.cli import (
     _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main,
@@ -24,7 +26,7 @@ from btrank.cli import (
 )
 from btrank.diagnostics import default_bandwidth
 
-from .conftest import DATA_DIR, csv_floats, rewrite_dump, toy_samples
+from .conftest import DATA_DIR, csv_floats, make_income, rewrite_dump, toy_samples
 
 # The btrank script of an installed package, if this environment has one.
 INSTALLED_SCRIPT = (
@@ -315,6 +317,43 @@ class TestDiagnose:
         code = main(["diagnose", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "corrupt or unreadable" in capsys.readouterr().err
+
+
+class TestTraceStride:
+    CAP = 50
+
+    @pytest.mark.parametrize("n, stride", [(CAP - 1, 1), (CAP, 1), (CAP + 1, 2), (3 * CAP + 1, 4)])
+    def test_traces_are_strided_and_every_other_output_is_not(self, tmp_path, monkeypatch, n, stride):
+        m = 4
+        rng = np.random.default_rng(n)
+        draws = rng.standard_normal((n, m))
+        samples = dataclasses.replace(
+            toy_samples(draws - draws.mean(axis=1, keepdims=True)),
+            variance_draws=rng.uniform(0.5, 2.0, n),
+            loglik_draws=rng.standard_normal(n),
+        )
+        cov = build_prior(make_income(m), KernelSpec("squared_exponential", 0.5))
+        options = {"threshold": 1e-8, "bandwidth": None, "window": 1, "trace_params": "all"}
+        names = [f"merit{i}" for i in range(m)] + ["variance", "quad_form", "loglik"]
+        full, capped = tmp_path / "full", tmp_path / "capped"
+        for out in (full, capped):
+            out.mkdir()
+        _write_diagnostics(full, samples, options, {}, names, cov=cov)
+        monkeypatch.setattr(diagnostics, "TRACE_EXPORT_CAP", self.CAP)
+        _write_diagnostics(capped, samples, options, {}, names, cov=cov)
+
+        with open(full / "traces.csv", newline="", encoding="utf-8") as handle:
+            full_rows = list(csv.reader(handle))
+        with open(capped / "traces.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        # the draw column keeps the kept-draw number of each exported row
+        kept = range(1, n + 1, stride)
+        assert len(kept) <= self.CAP
+        assert [row[:2] for row in rows[1:]] == [[str(t), p] for p in names for t in kept]
+        # every parameter, quad_form and loglik included, is strided alike
+        assert rows[1:] == [row for row in full_rows[1:] if (int(row[0]) - 1) % stride == 0]
+        for name in ("acf.csv", "diagnostics.json", "kendall.csv"):
+            assert (capped / name).read_bytes() == (full / name).read_bytes(), name
 
 
 class TestSimulate:

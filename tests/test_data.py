@@ -36,12 +36,16 @@ AWKWARD = [0.1, 12.0, -0.0, 5e-324, 1e16, -1.5e-300, float("nan"), float("inf"),
 LONG_HEADER = ["draw", "parameter", "value"]
 
 
-def long_csv_pair(tmp_path, column, names, first) -> tuple[bytes, bytes]:
-    """The files that write_long_csv and write_csv make of the same long table."""
+def long_csv_pair(tmp_path, column, names, first, step=1) -> tuple[bytes, bytes]:
+    """The files that write_long_csv and write_csv make of the same long table.
+
+    Each run's rows are labelled ``first``, ``first + step``, ...
+    """
     n = len(column) // len(names) if names else 0
+    index = range(first, first + n * step, step)
     runs = np.reshape(column, (len(names), n)).tolist()
-    rows = [(first + k, name, value) for name, run in zip(names, runs) for k, value in enumerate(run)]
-    write_long_csv(tmp_path / "long.csv", LONG_HEADER, column, names, first)
+    rows = [(i, name, value) for name, run in zip(names, runs) for i, value in zip(index, run)]
+    write_long_csv(tmp_path / "long.csv", LONG_HEADER, column, names, index)
     write_csv(tmp_path / "rows.csv", LONG_HEADER, rows)
     return (tmp_path / "long.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
 
@@ -390,9 +394,12 @@ class TestWriteLongCsv:
     def test_a_column_of_the_wrong_length_is_rejected(self, tmp_path):
         path = tmp_path / "long.csv"
         with pytest.raises(ValueError, match="do not split into 2 equal runs"):
-            write_long_csv(path, LONG_HEADER, np.zeros(7), ["merit0", "merit1"], 1)
+            write_long_csv(path, LONG_HEADER, np.zeros(7), ["merit0", "merit1"], range(1, 4))
         with pytest.raises(ValueError, match="do not split into 0 equal runs"):
-            write_long_csv(path, LONG_HEADER, np.zeros(3), [], 1)
+            write_long_csv(path, LONG_HEADER, np.zeros(3), [], range(1, 4))
+        # the column splits by names but not into runs as long as the index
+        with pytest.raises(ValueError, match="do not split into 2 equal runs of 4"):
+            write_long_csv(path, LONG_HEADER, np.zeros(6), ["merit0", "merit1"], range(1, 5))
         assert not path.exists()
 
     @pytest.mark.parametrize("header, names", [
@@ -404,5 +411,35 @@ class TestWriteLongCsv:
     def test_a_cell_the_csv_module_might_quote_is_rejected(self, tmp_path, header, names):
         path = tmp_path / "long.csv"
         with pytest.raises(ValueError, match="must be identifiers"):
-            write_long_csv(path, header, np.zeros(len(names)), names, 1)
+            write_long_csv(path, header, np.zeros(len(names)), names, range(1, 2))
         assert not path.exists()
+
+    # 999,990 + 10 reaches seven digits inside the chunk
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1024])
+    @pytest.mark.parametrize("step", [1, 2, 9])
+    def test_index_ranges_and_strides_leave_the_bytes_alone(self, tmp_path, monkeypatch, chunk, step):
+        monkeypatch.setattr(data, "LONG_CSV_CHUNK", chunk)
+        noise = np.random.default_rng(4).standard_normal(17).round(1).tolist()
+        column = np.array(noise + AWKWARD[:8] + noise[::-1])
+        for first in (1, 999_990 - 3 * step):
+            long, rows = long_csv_pair(tmp_path, column, ["merit0", "variance", "loglik"], first, step)
+            assert long == rows
+            assert long.count(b"\r\n") == 1 + len(column)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    def test_one_row_and_no_rows(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "LONG_CSV_CHUNK", chunk)
+        long, rows = long_csv_pair(tmp_path, np.array([-0.0, 5e-324]), ["merit0", "loglik"], 7)
+        assert long == rows == b"draw,parameter,value\r\n7,merit0,-0.0\r\n7,loglik,5e-324\r\n"
+        long, rows = long_csv_pair(tmp_path, np.empty(0), ["merit0", "loglik"], 1)
+        assert long == rows == b"draw,parameter,value\r\n"
+
+    @pytest.mark.parametrize("chunk", [2, 3, 1024])
+    def test_a_run_of_equal_values_stops_at_the_name(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "LONG_CSV_CHUNK", chunk)
+        # each name ends and the next begins with the same value, and a
+        # partial last chunk is followed by the next name's first chunk
+        column = np.array([0.5, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, -0.0, -0.0, 0.125])
+        long, rows = long_csv_pair(tmp_path, column, ["merit0", "merit1"], 1, 3)
+        assert long == rows
+        assert long.split(b"\r\n")[5:8] == [b"13,merit0,0.25", b"1,merit1,0.25", b"4,merit1,0.25"]

@@ -31,7 +31,7 @@ from btrank import (
     univariate_ess,
 )
 from btrank import diagnostics
-from btrank.diagnostics import _ess_core, _fft_autocovariance, default_bandwidth
+from btrank.diagnostics import _ess_core, _fft_autocovariance, default_bandwidth, trace_stride
 
 from .conftest import make_income, rewrite_dump, toy_samples
 
@@ -331,6 +331,29 @@ class TestRankStabilitySeries:
         with pytest.raises(ValueError, match="window"):
             rank_stability_series(toy_samples(draws), window=0)
 
+    @staticmethod
+    def per_window(draws: np.ndarray, window: int) -> list[tuple[int, int]]:
+        """Each window's running-mean ranking against the final one, one window at a time."""
+        n = len(draws)
+        sums = np.cumsum(np.add.reduceat(draws, np.arange(0, n, window), axis=0), axis=0)
+        final = rank_entities(sums[-1] / n)
+        points = list(range(window, n, window)) + [n]
+        return [(t, kendall_tau_distance(rank_entities(s / t), final)) for t, s in zip(points, sums)]
+
+    @pytest.mark.parametrize("window", [1, 3, 10, 37, 40, 41])
+    @pytest.mark.parametrize("block", [1, 4, 1024])
+    def test_matches_a_ranking_per_window(self, monkeypatch, window, block):
+        monkeypatch.setattr(diagnostics, "RANK_STABILITY_BLOCK", block)
+        rng = np.random.default_rng(window)
+        # small integers tie often; column 3 repeats column 1 and column 4 is constant
+        draws = rng.integers(-2, 3, size=(40, 6)).astype(float)
+        draws[:, 3] = draws[:, 1]
+        draws[:, 4] = 0.5
+        series = rank_stability_series(toy_samples(draws), window)
+        assert series == self.per_window(draws, window)
+        assert any(d > 0 for _, d in series) or window >= 40
+        assert all(type(t) is int and type(d) is int for t, d in series)
+
 
 class TestTraceExport:
     def setup_method(self):
@@ -351,6 +374,23 @@ class TestTraceExport:
         assert names == ["merit0"]
         assert acf.shape == (6,)
         assert acf[0] == 1.0
+
+    def test_the_stride_keeps_at_most_the_cap_draws(self):
+        cap = diagnostics.TRACE_EXPORT_CAP
+        for n, stride in [(1, 1), (cap - 1, 1), (cap, 1), (cap + 1, 2), (2 * cap, 2),
+                          (2 * cap + 1, 3), (2_000_000, 20)]:
+            assert trace_stride(n) == stride
+            assert len(range(0, n, stride)) <= cap
+
+    @pytest.mark.parametrize("n", [59, 60])
+    def test_a_capped_trace_is_strided_and_its_acf_is_not(self, monkeypatch, n):
+        samples = toy_samples(self.draws[:n])
+        trace, acf, names = trace_export(samples)
+        monkeypatch.setattr(diagnostics, "TRACE_EXPORT_CAP", 20)
+        capped, capped_acf, capped_names = trace_export(samples)
+        assert capped_names == names
+        np.testing.assert_array_equal(capped, trace.reshape(len(names), n)[:, ::3].ravel())
+        np.testing.assert_array_equal(capped_acf, acf)
 
     def test_no_parameters_give_empty_columns(self):
         trace, acf, names = trace_export(self.samples, params=[])

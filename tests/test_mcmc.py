@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import zipfile
@@ -559,6 +560,40 @@ class TestPersistence:
             assert a.namelist() == b.namelist()[:3] + ["loglik_draws.npy", "meta.json"]
             for name in b.namelist():
                 assert a.read(name) == b.read(name), name
+
+    @staticmethod
+    def writestr_dump(samples, path, metadata=None) -> None:
+        """A chain dump made in memory, each array formatted whole and written by writestr."""
+        meta = {"config": dataclasses.asdict(samples.config), "extra": metadata or {}}
+        names = ("merit_draws", "variance_draws", "accept_flags", "loglik_draws")
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for name in names:
+                array = getattr(samples, name)
+                if array is not None:
+                    buffer = io.BytesIO()
+                    np.lib.format.write_array(buffer, np.ascontiguousarray(array), allow_pickle=False)
+                    info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+                    archive.writestr(info, buffer.getvalue())
+            info = zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0))
+            archive.writestr(info, json.dumps(meta, sort_keys=True).encode("utf-8"))
+
+    @pytest.mark.parametrize("dump_slice", [7, 64, 1 << 20])
+    @pytest.mark.parametrize("loglik", [True, False])
+    def test_streamed_arrays_give_the_bytes_of_whole_ones(
+        self, tmp_path, toy_wins, toy_prior, monkeypatch, dump_slice, loglik
+    ):
+        monkeypatch.setattr(mcmc, "DUMP_SLICE", dump_slice)
+        samples = self.make_samples(toy_wins, toy_prior)
+        # a column-major copy is written in row-major order, as write_array writes it
+        samples = dataclasses.replace(
+            samples,
+            merit_draws=np.asfortranarray(samples.merit_draws),
+            loglik_draws=samples.loglik_draws if loglik else None,
+        )
+        streamed, whole = tmp_path / "streamed.npz", tmp_path / "whole.npz"
+        save_chain(samples, streamed, metadata={"jitter_applied": True})
+        self.writestr_dump(samples, whole, metadata={"jitter_applied": True})
+        assert streamed.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_accepted_that_disagrees_with_the_flags_is_corrupt(
