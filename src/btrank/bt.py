@@ -115,12 +115,16 @@ def mle_newman(w: WinMatrix, tol: float = 1e-10, max_iter: int = 10_000) -> np.n
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive (or is NaN) or ``max_iter`` is below 1.
     RuntimeError
         If the estimate does not exist (the directed win graph is not
         strongly connected) or ``max_iter`` is exhausted.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     _check_mle_exists(w)
 
     wins = w.wins

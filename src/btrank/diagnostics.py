@@ -13,6 +13,9 @@ from .prior import ConstrainedCovariance
 # multiplier shared by the effective-sample-size estimators
 ESS_CAP_FACTOR = 1.5
 
+# lags univariate_ess first asks of its autocovariance transform
+ESS_FIRST_LAG = 64
+
 # window sums per Gram-matrix block in spectral_longrun; at M=33 each
 # (block, M) temporary takes about 1 MB
 LONGRUN_BLOCK = 4096
@@ -226,16 +229,24 @@ def univariate_ess(x: np.ndarray) -> float:
     Pairs of consecutive autocovariances are summed, truncated at the first
     nonpositive pair, and forced nonincreasing before entering the asymptotic
     variance.  A constant series counts as fully independent, and the result
-    is capped at 1.5 N.
+    is capped at 1.5 N.  The autocovariances come from a power-of-two
+    transform of length at least N + L, which holds every lag up to its
+    length minus N.  L starts at ``ESS_FIRST_LAG`` and becomes four times
+    the lags held until a nonpositive pair appears or they reach N - 1.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 4:
         raise ValueError("need a 1-D series of at least 4 draws")
-    n = len(x)
-    acov = _fft_autocovariance(x, n - 1)
-    pair_count = n // 2
-    pairs = acov[0 : 2 * pair_count : 2] + acov[1 : 2 * pair_count : 2]
-    nonpositive = np.nonzero(pairs <= 0)[0]
+    n, lag = len(x), ESS_FIRST_LAG
+    while True:
+        max_lag = min(n - 1, (1 << (n + lag - 1).bit_length()) - n)
+        acov = _fft_autocovariance(x, max_lag)
+        pair_count = (max_lag + 1) // 2
+        pairs = acov[0 : 2 * pair_count : 2] + acov[1 : 2 * pair_count : 2]
+        nonpositive = np.flatnonzero(pairs <= 0)
+        if len(nonpositive) or max_lag == n - 1:
+            break
+        lag = 4 * max_lag
     cutoff = int(nonpositive[0]) if len(nonpositive) else pair_count
     head = np.minimum.accumulate(pairs[:cutoff])
     asymptotic_var = -acov[0] + 2.0 * head.sum()

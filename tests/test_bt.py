@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -202,6 +203,15 @@ class TestMleNewman:
     def test_tol_must_be_positive(self, toy_wins):
         with pytest.raises(ValueError, match="tol"):
             mle_newman(toy_wins, tol=0.0)
+
+    def test_nan_tol_is_rejected(self, toy_wins):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            mle_newman(toy_wins, tol=math.nan)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_must_be_positive(self, toy_wins, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            mle_newman(toy_wins, max_iter=max_iter)
 
     def test_half_integer_wins_from_split_ties(self):
         table = make_table(m=5, k=40, seed=9)

@@ -16,7 +16,9 @@ from btrank import (
     KernelSpec,
     SamplerConfig,
     acceptance_rate,
+    apply_missing_policy,
     build_prior,
+    build_win_matrix,
     diagnose,
     kendall_tau_distance,
     load_chain,
@@ -31,7 +33,14 @@ from btrank import (
     univariate_ess,
 )
 from btrank import diagnostics
-from btrank.diagnostics import _ess_core, _fft_autocovariance, default_bandwidth, trace_stride
+from btrank.diagnostics import (
+    ESS_CAP_FACTOR,
+    ESS_FIRST_LAG,
+    _ess_core,
+    _fft_autocovariance,
+    default_bandwidth,
+    trace_stride,
+)
 
 from .conftest import make_income, rewrite_dump, toy_samples
 
@@ -42,6 +51,23 @@ def ar1(n: int, m: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     for t in range(1, n):
         x[t] = rho * x[t - 1] + innov[t]
     return x
+
+
+def full_transform_ess(x: np.ndarray) -> float:
+    """``univariate_ess`` from the autocovariances at every lag up to N - 1.
+
+    The oracle for its shorter transforms: the same initial monotone
+    sequence rule, on one transform of length at least 2N - 1.
+    """
+    n = len(x)
+    acov = _fft_autocovariance(x, n - 1)
+    pairs = acov[0 : 2 * (n // 2) : 2] + acov[1 : 2 * (n // 2) : 2]
+    nonpositive = np.flatnonzero(pairs <= 0)
+    cutoff = int(nonpositive[0]) if len(nonpositive) else n // 2
+    asymptotic_var = -acov[0] + 2.0 * np.minimum.accumulate(pairs[:cutoff]).sum()
+    if asymptotic_var <= 0:
+        return ESS_CAP_FACTOR * n
+    return float(min(n * acov[0] / asymptotic_var, ESS_CAP_FACTOR * n))
 
 
 def lag_loop_longrun(draws: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -243,6 +269,31 @@ class TestUnivariateEss:
     def test_needs_at_least_four_draws(self):
         with pytest.raises(ValueError, match="at least 4"):
             univariate_ess(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("rho, transforms", [(0.0, 1), (0.9, 1), (0.99, 2)])
+    def test_shorter_transforms_give_the_full_transform_ess(self, monkeypatch, rho, transforms):
+        # at 2^16 - ESS_FIRST_LAG draws the first transform holds lags up to
+        # ESS_FIRST_LAG only, and the next one every lag
+        x = ar1(2**16 - ESS_FIRST_LAG, 1, rho, np.random.default_rng(31))[:, 0]
+        lags, real = [], diagnostics._fft_autocovariance
+        monkeypatch.setattr(diagnostics, "_fft_autocovariance",
+                            lambda x, max_lag: lags.append(max_lag) or real(x, max_lag))
+        ess = univariate_ess(x)
+        assert lags == [ESS_FIRST_LAG, len(x) - 1][:transforms]
+        assert abs(ess / full_transform_ess(x) - 1.0) < 1e-12
+
+    def test_a_chains_merit_columns_give_the_full_transform_ess(self, fixture_dataset):
+        table, income = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+        cov = build_prior(income, KernelSpec("squared_exponential", 0.09))
+        samples = run_chain(w, cov, SamplerConfig(beta=0.009, iterations=30_000, seed=29))
+        for column in samples.merit_draws.T:
+            assert abs(univariate_ess(column) / full_transform_ess(column) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("value", [3.25, 0.3])
+    def test_a_constant_series_gives_the_full_transform_ess(self, value):
+        x = np.full(5000, value)
+        assert univariate_ess(x) == full_transform_ess(x) == 5000.0
 
 
 class TestAcceptanceRate:

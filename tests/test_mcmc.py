@@ -50,10 +50,51 @@ def lopsided_wins() -> WinMatrix:
 def one_at_a_time(w: WinMatrix, cov, config: SamplerConfig) -> dict[str, np.ndarray]:
     """``run_chain``'s chain scored one proposal per iteration: the oracle for its batching.
 
-    It draws the same blocks and computes each proposal's merits and
-    log-likelihood with the same product and helper.  Returns, for every
-    iteration, the merits, variance and log-likelihood after it, its accept
-    flag, and the merits it proposed.
+    It draws the same blocks, lifts each block's steps with the same
+    product, and builds each proposal from the joint state ``(merits | u)``
+    and scores it with the same helper.  Returns, for every iteration, the
+    merits, variance and log-likelihood after it, its accept flag, and the
+    merits it proposed.
+    """
+    rng = np.random.default_rng(config.seed)
+    contraction = math.sqrt(1.0 - config.beta**2)
+    fixed = config.fix_variance is not None
+    shape = mcmc._gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
+    lift = np.hstack([cov.factor.T, np.eye(cov.rank)])
+    state = np.zeros(w.m + cov.rank)
+    scale = config.fix_variance if fixed else config.prior_scale
+    loglik = _log_likelihood(state[: w.m], w.pairs)
+    trace = {"merit_draws": [], "variance_draws": [], "loglik_draws": [], "accept_flags": [],
+             "proposals": []}
+    for start in range(0, config.iterations, BLOCK):
+        size = min(BLOCK, config.iterations - start)
+        normals = rng.standard_normal((size, cov.rank))
+        gammas = np.ones(size) if fixed else rng.standard_gamma(shape, size)
+        log_uniforms = np.log(rng.random(size))
+        steps = (config.beta * normals / np.sqrt(gammas)[:, None]) @ lift
+        for k in range(size):
+            variance = scale / gammas[k]
+            proposal = steps[k] * math.sqrt(scale) + contraction * state
+            loglik_new = _log_likelihood(proposal[: w.m], w.pairs)
+            accept = log_uniforms[k] < loglik_new - loglik
+            if accept:
+                state, loglik = proposal, loglik_new
+                if not fixed:
+                    scale = config.prior_scale + float(state[w.m :] @ state[w.m :])
+            values = (state[: w.m], variance, loglik, accept, proposal[: w.m])
+            for name, value in zip(trace, values):
+                trace[name].append(value)
+    return {name: np.array(values) for name, values in trace.items()}
+
+
+def u_space_chain(w: WinMatrix, cov, config: SamplerConfig) -> dict[str, np.ndarray]:
+    """The paper's pCN recursion in whitened coordinates, one proposal per iteration.
+
+    The state is ``u`` alone: each proposal is ``sqrt(1 - beta^2) u +
+    sqrt(variance) beta z`` with ``variance = (prior_scale + u @ u) /
+    gamma``, and its merits are rebuilt as ``factor @ u``.  ``run_chain``
+    lifts the steps to merit space instead, which moves the draws by
+    rounding only.  Returns the same arrays as ``one_at_a_time``.
     """
     rng = np.random.default_rng(config.seed)
     contraction = math.sqrt(1.0 - config.beta**2)
@@ -229,7 +270,8 @@ class TestRunChain:
 
 
 class TestWhitenedKernel:
-    """The chain keeps u with merits = factor @ u and draws its randomness BLOCK iterations at a time."""
+    """The chain keeps the state (merits | u), moves both halves by one lifted
+    step, and draws its randomness BLOCK iterations at a time."""
 
     def test_gibbs_scale_is_the_merit_quadratic_form(self, toy_wins, toy_prior):
         # u @ u must equal merits' pinv merits: rebuild each Gibbs scale from the
@@ -328,8 +370,7 @@ class TestBatchedProposals:
     """``run_chain`` scores the proposals up to the next acceptance in one call
     and must still be the one-at-a-time chain, bit for bit."""
 
-    @pytest.mark.parametrize("cap", [1, 5, 64])
-    @pytest.mark.parametrize(
+    CONFIGURATIONS = pytest.mark.parametrize(
         "beta, iterations, burn_in, thin, fix_variance",
         [
             (0.2, BLOCK - 1, BLOCK - 6, 3, None),
@@ -343,6 +384,9 @@ class TestBatchedProposals:
             (0.2, 3 * BLOCK + 5, BLOCK + 17, BLOCK + 300, 0.7),
         ],
     )
+
+    @pytest.mark.parametrize("cap", [1, 5, 64])
+    @CONFIGURATIONS
     def test_matches_the_one_at_a_time_chain(
         self, toy_wins, toy_prior, monkeypatch, cap, beta, iterations, burn_in, thin, fix_variance
     ):
@@ -351,6 +395,21 @@ class TestBatchedProposals:
                                seed=5, fix_variance=fix_variance)
         samples = run_chain(toy_wins, toy_prior, config)
         assert_same_chain(samples, one_at_a_time(toy_wins, toy_prior, config))
+
+    @CONFIGURATIONS
+    def test_lifted_steps_make_the_u_space_chain(
+        self, toy_wins, toy_prior, beta, iterations, burn_in, thin, fix_variance
+    ):
+        # the lifted merit-space steps move the paper's recursion by rounding only
+        config = SamplerConfig(beta=beta, iterations=iterations, burn_in=burn_in, thin=thin,
+                               seed=5, fix_variance=fix_variance)
+        samples = run_chain(toy_wins, toy_prior, config)
+        reference = u_space_chain(toy_wins, toy_prior, config)
+        assert samples.accept_flags.tobytes() == reference["accept_flags"][burn_in:].tobytes()
+        np.testing.assert_allclose(samples.merit_draws, reference["merit_draws"][burn_in::thin],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(samples.variance_draws,
+                                   reference["variance_draws"][burn_in::thin], rtol=1e-12)
 
     @pytest.mark.parametrize("fix_variance", [None, 0.7])
     def test_a_batch_that_straddles_the_burn_in(self, toy_wins, toy_prior, monkeypatch, fix_variance):
@@ -379,6 +438,29 @@ class TestBatchedProposals:
         assert first == config.iterations
         assert any(a < config.burn_in < b for a, b in spans)
         assert max(rows) > 2
+
+
+def test_the_two_halves_of_the_state_stay_together(fixture_dataset):
+    # the merits are never rebuilt from u: over a long chain they must stay in
+    # the sum-to-zero subspace, and u @ u must stay their quadratic form
+    table, income = fixture_dataset
+    w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+    cov = build_prior(income, KernelSpec("squared_exponential", 0.09))
+    config = SamplerConfig(beta=0.009, iterations=50_000, burn_in=0, seed=23)
+    samples = run_chain(w, cov, config)
+    assert np.abs(samples.merit_draws.sum(axis=1)).max() < 1e-12
+    # rebuild each block's gamma variates: they follow the block's normals
+    rng, gammas = np.random.default_rng(config.seed), []
+    shape = config.prior_shape + 0.5 * w.m
+    for start in range(0, config.iterations, BLOCK):
+        size = min(BLOCK, config.iterations - start)
+        rng.standard_normal((size, cov.rank))
+        gammas.append(rng.standard_gamma(shape, size))
+        rng.random(size)
+    merits = np.vstack([np.zeros(w.m), samples.merit_draws[:-1]])
+    quad = np.einsum("ni,ij,nj->n", merits, cov.pinv, merits)
+    np.testing.assert_allclose(samples.variance_draws * np.concatenate(gammas),
+                               config.prior_scale + quad, rtol=1e-10)
 
 
 def test_the_softplus_likelihood_runs_the_same_chain(fixture_dataset, monkeypatch):
