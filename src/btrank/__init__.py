@@ -51,7 +51,7 @@ from .prior import (
     log_income_distance,
     sample_constrained,
 )
-from .report import RankingReport, compare_rankings, export_report, summarize
+from .report import RankingReport, export_report, summarize
 from .sim import SimStudySpec, run_recovery_study, simulate_win_matrix
 from .wins import WinMatrix, build_win_matrix, export_win_matrix, total_comparisons
 
@@ -73,7 +73,6 @@ __all__ = [
     "apply_missing_policy",
     "build_prior",
     "build_win_matrix",
-    "compare_rankings",
     "constrain",
     "diagnose",
     "export_report",

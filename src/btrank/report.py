@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import write_csv, write_json
-from .diagnostics import discordant_pairs, rank_entities
+from .diagnostics import rank_entities
 from .mcmc import ChainSamples
 
 MIN_DRAWS = 100
@@ -131,22 +131,6 @@ def summarize(samples: ChainSamples, entities, level: float = 0.95,
         mle_rank=mle_rank,
         level=level,
     )
-
-
-def compare_rankings(ranks_a: dict, ranks_b: dict):
-    """Kendall tau distance between two rankings plus the swapped pairs.
-
-    Both mappings must rank exactly the same entities.  Returns
-    ``(distance, swaps)`` where swaps lists the entity pairs the two rankings
-    order differently, alphabetically.
-    """
-    if set(ranks_a) != set(ranks_b):
-        raise ValueError("rankings cover different entity sets")
-    names = sorted(ranks_a)
-    a = np.array([ranks_a[name] for name in names])
-    b = np.array([ranks_b[name] for name in names])
-    swaps = [(names[i], names[j]) for i, j in zip(*np.nonzero(discordant_pairs(a, b)))]
-    return len(swaps), swaps
 
 
 def export_report(report: RankingReport, format: str, path) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bt import _expit, mle_newman
+from .bt import NoMleError, _expit, mle_newman
 from .data import write_csv
 from .diagnostics import kendall_tau_distance, rank_entities
 from .mcmc import SamplerConfig, posterior_mean, run_chain
@@ -125,9 +125,9 @@ def run_recovery_study(spec: SimStudySpec, sampler: SamplerConfig) -> list[dict]
 
     True merits for a given replication depend only on the study seed, the
     replication index, and the length scale, never on ``k_comparisons``, so
-    studies at different comparison counts are paired.  A nonexistent
-    maximum likelihood estimate is recorded as NaN metrics for that cell
-    rather than aborting the study.
+    studies at different comparison counts are paired.  A maximum likelihood
+    estimate that does not exist is recorded as NaN metrics for that cell;
+    any other solver failure aborts the study.
     """
     log_incomes = np.linspace(0.0, 1.0, spec.m)
     distances = np.abs(log_incomes[:, None] - log_incomes[None, :])
@@ -151,7 +151,7 @@ def run_recovery_study(spec: SimStudySpec, sampler: SamplerConfig) -> list[dict]
 
             try:
                 baseline = mle_newman(w)
-            except RuntimeError:
+            except NoMleError:
                 rows.append(_failed_row(rep, length_scale, "mle"))
             else:
                 rows.append(_metric_row(rep, length_scale, "mle", truth, baseline))

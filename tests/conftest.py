@@ -127,6 +127,35 @@ def softplus_log_likelihood(merits, w):
     return np.vecdot(merits, score) - np.vecdot(softplus, counts)
 
 
+def random_wins(rng) -> np.ndarray:
+    """A random directed win matrix on 2 to 11 entities.
+
+    About half the draws are sparse integer counts at a random density, a
+    third of them with some ties split into half-wins.  The others, on 4 or
+    more entities, split the entities at random into two groups of at least
+    two, each a directed cycle in which every entity wins and loses, joined
+    by wins of the first group over the second; about half of those also
+    get one win back, which makes the graph strongly connected.
+    """
+    m = int(rng.integers(2, 12))
+    if m < 4 or rng.random() < 0.5:
+        wins = (rng.integers(1, 4, size=(m, m)) * (rng.random((m, m)) < rng.random())).astype(float)
+        if rng.random() < 0.3:
+            tied = np.triu(rng.random((m, m)) < 0.2, 1)
+            wins += 0.5 * (tied | tied.T)
+    else:
+        order = rng.permutation(m)
+        cut = int(rng.integers(2, m - 1))
+        wins = np.zeros((m, m))
+        for group in (order[:cut], order[cut:]):
+            wins[group, np.roll(group, -1)] += 1.0
+        wins[order[0], order[cut]] += 2.0
+        if rng.random() < 0.5:
+            wins[order[-1], order[0]] += 1.0
+    np.fill_diagonal(wins, 0.0)
+    return wins
+
+
 @pytest.fixture
 def toy_table() -> IndicatorTable:
     return make_table()

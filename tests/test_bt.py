@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -16,9 +15,10 @@ from btrank import (
     mle_newman,
     win_probability,
 )
-from btrank.bt import _log_likelihood
+from btrank.bt import NoMleError, _log_likelihood
+from btrank.sim import simulate_win_matrix
 
-from .conftest import dense_log_likelihood, make_table
+from .conftest import dense_log_likelihood, make_table, random_wins
 
 
 def wins_matrix(wins, entities=None):
@@ -138,6 +138,89 @@ class TestPairListOracle:
         assert _log_likelihood(draws, w.pairs).tolist() == [log_likelihood(row, w) for row in draws]
 
 
+def fords_condition_holds(wins) -> bool:
+    """Whether every entity beats every other one along some chain of wins, by transitive closure."""
+    reach = (wins > 0) | np.eye(len(wins), dtype=bool)
+    for k in range(len(wins)):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return bool(reach.all())
+
+
+def fixed_point_mle(w, tol=1e-14, max_sweeps=100_000):
+    """The maximum likelihood merits by the fixed-point strength iteration the Newton solver replaced.
+
+    Iterates, for each entity in turn, ``pi_i <- sum_j wins[i,j] pi_j / (pi_i
+    + pi_j) / sum_j wins[j,i] / (pi_i + pi_j)``, updating in place within a
+    sweep (a simultaneous update cycles on two-entity data) and renormalizing
+    the geometric mean to one after each sweep, until the largest relative
+    change falls below ``tol``.  Returns log-strengths centred to sum to zero.
+    """
+    assert fords_condition_holds(w.wins)
+    wins, pi = w.wins, np.ones(w.m)
+    for _ in range(max_sweeps):
+        previous = pi.copy()
+        for i in range(w.m):
+            denom = pi[i] + pi
+            pi[i] = np.sum(wins[i] * pi / denom) / np.sum(wins[:, i] / denom)
+        pi /= np.exp(np.mean(np.log(pi)))
+        if np.max(np.abs(pi - previous) / previous) < tol:
+            merits = np.log(pi)
+            return merits - merits.mean()
+    raise AssertionError(f"the oracle did not converge within {max_sweeps} sweeps")
+
+
+class TestNewtonAgainstTheFixedPoint:
+    """Newton agrees with the fixed-point oracle and needs few steps.
+
+    Every estimate is asked for with ``max_iter=25``, so a call that needs
+    more Newton steps fails with "did not converge".
+    """
+
+    @staticmethod
+    def check(w):
+        np.testing.assert_allclose(mle_newman(w, max_iter=25), fixed_point_mle(w), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("tie_policy", ["split", "drop"])
+    def test_bundled_win_matrix(self, fixture_dataset, tie_policy):
+        table, _ = fixture_dataset
+        self.check(build_win_matrix(apply_missing_policy(table, "drop_indicators"), tie_policy))
+
+    def test_random_win_matrices_that_meet_fords_condition(self):
+        rng = np.random.default_rng(1)  # the draws of the scipy cross-check of Ford's condition
+        fitted = 0
+        for _ in range(400):
+            wins = random_wins(rng)
+            w = WinMatrix(entities=tuple(f"e{i}" for i in range(len(wins))), wins=wins)
+            if fords_condition_holds(wins):
+                fitted += 1
+                self.check(w)
+        assert fitted > 100
+
+    def test_contests_in_the_millions(self):
+        # near the maximum the rise of a step is below the log-likelihood's rounding
+        # (about 1e-8 here), which must not stall the line search
+        wins = [[0.0, 0.0, 0.0, 15.0], [5358.0, 0.0, 0.0, 0.0],
+                [4788347.0, 784654.0, 0.0, 0.0], [4.0, 0.0, 1245.0, 0.0]]
+        self.check(wins_matrix(wins))
+
+    def test_simulated_designs(self):
+        # 200 designs on 10 entities with 1 to 200 contests per pair, log-uniform
+        # so that some single-contest designs fail Ford's condition
+        rng = np.random.default_rng(2)
+        refused = 0
+        for _ in range(200):
+            truth = rng.normal(size=10)
+            k = int(np.exp(rng.uniform(0.0, np.log(200.5))))
+            w = simulate_win_matrix(truth - truth.mean(), k, rng)
+            if fords_condition_holds(w.wins):
+                self.check(w)
+            else:
+                refused += 1
+                with pytest.raises(NoMleError, match="Ford's condition"):
+                    mle_newman(w, max_iter=25)
+        assert 0 < refused < 100
+
+
 class TestMleNewman:
     def test_two_entity_closed_form(self):
         # 3:1 wins puts the strength ratio at 3, so the merit gap is ln 3
@@ -148,9 +231,9 @@ class TestMleNewman:
 
     def test_balanced_two_entity_data_converges(self):
         # a simultaneous strength update oscillates forever on this input;
-        # the in-place sweep settles immediately
+        # zero merits are the estimate, where the gradient is already zero
         w = wins_matrix([[0.0, 1.0], [1.0, 0.0]])
-        merits = mle_newman(w, max_iter=50)
+        merits = mle_newman(w, max_iter=1)
         np.testing.assert_allclose(merits, [0.0, 0.0], atol=1e-12)
 
     def test_gradient_vanishes_at_the_estimate(self, toy_wins):
@@ -171,7 +254,7 @@ class TestMleNewman:
             entities=tuple(toy_wins.entities[i] for i in perm),
             wins=toy_wins.wins[np.ix_(perm, perm)],
         )
-        np.testing.assert_allclose(mle_newman(permuted), merits[perm], atol=1e-8)
+        np.testing.assert_allclose(mle_newman(permuted), merits[perm], rtol=0, atol=1e-13)
 
     def test_no_wins_is_reported_with_the_entity_name(self):
         w = wins_matrix([[0.0, 0.0], [4.0, 0.0]], entities=("weak", "strong"))
@@ -199,14 +282,6 @@ class TestMleNewman:
     def test_exhausted_iterations_raise(self, toy_wins):
         with pytest.raises(RuntimeError, match="did not converge"):
             mle_newman(toy_wins, max_iter=1)
-
-    def test_tol_must_be_positive(self, toy_wins):
-        with pytest.raises(ValueError, match="tol"):
-            mle_newman(toy_wins, tol=0.0)
-
-    def test_nan_tol_is_rejected(self, toy_wins):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            mle_newman(toy_wins, tol=math.nan)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_must_be_positive(self, toy_wins, max_iter):

@@ -12,7 +12,6 @@ from btrank import (
     ChainSamples,
     RankingReport,
     SamplerConfig,
-    compare_rankings,
     export_report,
     rank_entities,
     summarize,
@@ -216,47 +215,6 @@ class TestRankingReportValidation:
         kwargs = self.base_kwargs() | {"outrank": np.array([[0.5, 0.8], [0.1, 0.5]])}
         with pytest.raises(ValueError, match="outrank"):
             RankingReport(**kwargs)
-
-
-class TestCompareRankings:
-    def test_distance_and_swapped_pairs(self):
-        a = {"x": 1, "y": 2, "z": 3}
-        b = {"x": 2, "y": 1, "z": 3}
-        distance, swaps = compare_rankings(a, b)
-        assert distance == 1
-        assert swaps == [("x", "y")]
-
-    def test_identical_rankings(self):
-        a = {"x": 1, "y": 2}
-        assert compare_rankings(a, dict(a)) == (0, [])
-
-    def test_swaps_are_alphabetical(self):
-        a = {"m": 1, "b": 2, "t": 3}
-        b = {"m": 3, "b": 2, "t": 1}
-        distance, swaps = compare_rankings(a, b)
-        assert distance == 3
-        assert swaps == [("b", "m"), ("b", "t"), ("m", "t")]
-
-    def test_swaps_match_a_brute_force_pair_list(self):
-        rng = np.random.default_rng(21)
-        names = [f"n{i:02d}" for i in rng.permutation(12)]
-        for _ in range(20):
-            a = dict(zip(names, rng.permutation(12) + 1))
-            b = dict(zip(names, rng.permutation(12) + 1))
-            ordered = sorted(names)
-            expected = [
-                (x, y)
-                for i, x in enumerate(ordered)
-                for y in ordered[i + 1 :]
-                if (a[x] - a[y]) * (b[x] - b[y]) < 0
-            ]
-            distance, swaps = compare_rankings(a, b)
-            assert swaps == expected
-            assert distance == len(swaps)
-
-    def test_mismatched_entity_sets(self):
-        with pytest.raises(ValueError, match="different entity sets"):
-            compare_rankings({"a": 1}, {"b": 1})
 
 
 class TestExportReport:

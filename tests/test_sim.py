@@ -161,6 +161,15 @@ class TestRunRecoveryStudy:
         assert math.isfinite(bayes["rmse"])
         assert math.isnan(mle["rmse"]) and math.isnan(mle["spearman"])
 
+    def test_a_solver_that_does_not_converge_stops_the_study(self, monkeypatch):
+        # only a nonexistent estimate is a NaN row; a solver failure must not pass as one
+        def no_convergence(w):
+            raise RuntimeError("Newton's method did not converge within 100 steps")
+
+        monkeypatch.setattr("btrank.sim.mle_newman", no_convergence)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            run_recovery_study(self.tiny_spec(replications=1), self.tiny_sampler())
+
     def test_a_constant_estimate_scores_nan_correlations_without_warning(self):
         truth = np.array([0.6, -0.1, -0.5])
         with warnings.catch_warnings():
