@@ -10,15 +10,21 @@ the random stream and every output format can be checked in one step::
 
 The optional argument is the root of the checkout to run (default: the one
 holding this script); its ``src`` goes on ``PYTHONPATH`` and its ``data`` is
-the input.  Each line is ``sha256  relative/path``.  A run's stdout is
-digested as ``<run>.stdout`` after its output directory is replaced by
-``<out>``.  Standard library only.
+the input.  The output opens with ``# key: value`` lines naming the machine
+(``machine()``); each line after them is ``sha256  relative/path``.  A run's
+stdout is digested as ``<run>.stdout`` after its output directory is replaced
+by ``<out>``.  ``output_digest.txt`` beside this script is the output at the
+current commit, which ``tests/test_output_digest.py`` checks on a machine with
+the same header; a change that moves an output rewrites it::
+
+    python3 scripts/output_digest.py > scripts/output_digest.txt
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -70,6 +76,32 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def machine() -> list[str]:
+    """What the digests depend on beside the code and the data, as ``# key: value`` lines.
+
+    The CPU and its SIMD extensions choose numpy's and OpenBLAS's kernels, which
+    can differ in the last bit; the C library's ``exp`` draws the simulated wins.
+    """
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    cpu = platform.processor() or platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        models = [line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+                  if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    return [
+        f"# cpu: {cpu}",
+        f"# simd: {' '.join(config['SIMD Extensions']['found'])}",
+        f"# python: {platform.python_version()}",
+        f"# numpy: {np.__version__}",
+        f"# blas: {blas['name']} {blas['version']}",
+        f"# libc: {' '.join(platform.libc_ver())}",
+    ]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -79,7 +111,7 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        lines = []
+        lines = machine()
         for name, args in runs(root / "data", work):
             out = work / name
             proc = subprocess.run(

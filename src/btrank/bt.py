@@ -34,17 +34,21 @@ def win_probability(merit_i: float, merit_j: float) -> float:
 def _log_likelihood(merits: np.ndarray, pairs: PairList) -> np.ndarray:
     """Log-likelihood of each merit vector along the last axis of ``merits``.
 
-    In strength form, ``total_wins @ m - sum_k counts[k] log(exp(m_i) +
-    exp(m_j))``, after a shift of each vector to a zero largest merit, which
-    leaves the value unchanged since the wins add up to the contests.  It is
-    exact to rounding while each compared pair has a merit within about 708
-    of the largest; past about 745 both strengths underflow and the value is
-    ``+inf``.  Every reduction runs along the last axis, so a row's value
-    does not depend on the other rows beside it.
+    In strength form, ``total_wins @ m - sum_k counts[k] log(s_i + s_j)``,
+    with strengths ``s = exp(m - max(m))``: the wins add up to the contests,
+    so the shift keeps the value.  It is exact to rounding while each compared
+    pair has a merit within about 708 of the largest; past about 745 both
+    strengths underflow and the value is ``+inf``.  ``s @ pairs.incidence``
+    gives the pair strengths in one BLAS call, bit for bit the gathered
+    ``s_i + s_j``: each output adds exact zeros to ``s_i * 1 + s_j * 1`` (``s``
+    is finite and nonnegative), one rounding in any order or fused form.  At
+    O(M) per pair it gives way to gathers above ``wins.INCIDENCE_MAX_ENTITIES``
+    entities.  Each row is reduced on its own, along the last axis.
     """
     shifted = merits - merits.max(axis=-1, keepdims=True)
     strength = np.exp(shifted)
-    pair_strength = strength.take(pairs.i, axis=-1) + strength.take(pairs.j, axis=-1)
+    pair_strength = (strength.take(pairs.i, axis=-1) + strength.take(pairs.j, axis=-1)
+                     if pairs.incidence is None else strength @ pairs.incidence)
     return np.vecdot(shifted, pairs.total_wins) - np.vecdot(np.log(pair_strength), pairs.counts)
 
 
@@ -134,7 +138,7 @@ def mle_newman(w: WinMatrix, max_iter: int = 100) -> np.ndarray:
         raise ValueError("max_iter must be at least 1")
     _check_mle_exists(w)
 
-    (i, j, counts, total_wins), m = w.pairs, w.m
+    i, j, counts, total_wins, m = w.pairs.i, w.pairs.j, w.pairs.counts, w.pairs.total_wins, w.m
     merits = np.zeros(m)
     loglik = float(_log_likelihood(merits, w.pairs))
     for _ in range(max_iter):

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bt import mle_newman
+from .bt import NoMleError, mle_newman
 from .data import (
     apply_missing_policy, income_for_entities, load_dataset, subset_by_zone, write_csv, write_json,
     write_long_csv,
@@ -260,7 +260,7 @@ def cmd_fit(args) -> int:
     baseline = None
     try:
         baseline = mle_newman(w)
-    except RuntimeError as exc:
+    except NoMleError as exc:
         print(f"warning: skipping likelihood baseline: {exc}", file=sys.stderr)
     ranking = summarize(samples, w.entities, level=options["level"], mle_merits=baseline)
     export_report(ranking, "csv", out / "ranking.csv")

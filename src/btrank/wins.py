@@ -12,19 +12,25 @@ from .data import IndicatorTable, write_csv
 
 TIE_POLICIES = ("split", "drop")
 
+# most entities with an incidence matrix: in run_chain its product took 0.92-0.96 of the gathers'
+# time at M = 44 and 0.98-1.16 at M = 48 (acceptance 0.06-0.3; README, "Benchmark")
+INCIDENCE_MAX_ENTITIES = 44
+
 
 class PairList(NamedTuple):
     """The compared pairs ``i[k] < j[k]`` of a win matrix.
 
     ``counts[k]`` is the number of contests between the pair, and
     ``total_wins[e]`` is the number of contests entity ``e`` won against
-    anyone, ``wins[e].sum()``.
+    anyone, ``wins[e].sum()``.  ``incidence``, ``None`` above ``INCIDENCE_MAX_ENTITIES``
+    entities, is the ``(M, P)`` matrix with ones at ``(i[k], k)`` and ``(j[k], k)`` only.
     """
 
     i: np.ndarray
     j: np.ndarray
     counts: np.ndarray
     total_wins: np.ndarray
+    incidence: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,9 @@ class WinMatrix:
     def pairs(self) -> PairList:
         """Pairs with at least one contest, built on first use and kept."""
         i, j = np.nonzero(np.triu(self.comparisons > 0, 1))
-        return PairList(i, j, self.comparisons[i, j].astype(float), self.wins.sum(axis=1))
+        e = np.arange(self.m)[:, None]  # row-major: the product took 1.5 times as long column-major
+        incidence = ((e == i) | (e == j)).astype(float) if self.m <= INCIDENCE_MAX_ENTITIES else None
+        return PairList(i, j, self.comparisons[i, j].astype(float), self.wins.sum(axis=1), incidence)
 
 
 def build_win_matrix(table: IndicatorTable, tie_policy: str = "split") -> WinMatrix:

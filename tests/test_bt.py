@@ -17,6 +17,7 @@ from btrank import (
 )
 from btrank.bt import NoMleError, _log_likelihood
 from btrank.sim import simulate_win_matrix
+from btrank.wins import INCIDENCE_MAX_ENTITIES
 
 from .conftest import dense_log_likelihood, make_table, random_wins
 
@@ -136,6 +137,83 @@ class TestPairListOracle:
         w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
         draws = np.random.default_rng(n).normal(scale=1.5, size=(n, w.m))
         assert _log_likelihood(draws, w.pairs).tolist() == [log_likelihood(row, w) for row in draws]
+
+
+def loop_incidence(pairs, m):
+    """The ``(M, P)`` incidence matrix of a pair list, built one pair at a time."""
+    incidence = np.zeros((m, len(pairs.i)))
+    for k, (a, b) in enumerate(zip(pairs.i.tolist(), pairs.j.tolist())):
+        incidence[a, k] = incidence[b, k] = 1.0
+    return incidence
+
+
+class TestIncidenceProduct:
+    """Pair strengths by the incidence product give the gathered likelihood bit for bit."""
+
+    @staticmethod
+    def check(pairs, draws):
+        np.testing.assert_array_equal(pairs.incidence, loop_incidence(pairs, draws.shape[-1]))
+        with np.errstate(divide="ignore"):  # the log of a pair strength that underflowed
+            product = _log_likelihood(draws, pairs)
+            gathered = _log_likelihood(draws, pairs._replace(incidence=None))
+        assert product.shape == gathered.shape and product.tobytes() == gathered.tobytes()
+        return product
+
+    @pytest.mark.parametrize("tie_policy", ["split", "drop"])
+    def test_bundled_win_matrix(self, fixture_dataset, tie_policy):
+        table, _ = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"), tie_policy)
+        self.check(w.pairs, np.random.default_rng(5).normal(scale=1.5, size=(700, w.m)))
+
+    def test_half_wins_and_an_uncompared_pair(self):
+        w = wins_matrix(
+            [
+                [0.0, 2.5, 0.0, 1.0],
+                [1.5, 0.0, 3.0, 0.5],
+                [0.0, 1.0, 0.0, 2.0],
+                [3.0, 0.5, 2.0, 0.0],
+            ]
+        )
+        assert len(w.pairs.i) == 5
+        self.check(w.pairs, np.random.default_rng(6).normal(scale=1.5, size=(700, w.m)))
+
+    def test_random_sparse_designs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            w = wins_matrix(random_wins(rng))
+            self.check(w.pairs, rng.normal(scale=2.0, size=(5, w.m)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_batches_and_single_vectors(self, fixture_dataset, n):
+        table, _ = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+        draws = np.random.default_rng(n).normal(scale=1.5, size=(n, w.m))
+        assert self.check(w.pairs, draws).tolist() == [float(self.check(w.pairs, row)) for row in draws]
+
+    def test_subnormal_and_vanishing_strengths(self, fixture_dataset):
+        # about half the entities of each row sit 700 to 760 below the rest: their
+        # strengths are normal, subnormal or zero, and a pair of zeros gives +inf
+        table, _ = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+        rng = np.random.default_rng(8)
+        gaps = np.linspace(700.0, 760.0, 63)
+        draws = rng.normal(size=(len(gaps), w.m)) - (rng.random((len(gaps), w.m)) < 0.5) * gaps[:, None]
+        values = self.check(w.pairs, draws)
+        strengths = np.exp(draws - draws.max(axis=1, keepdims=True))
+        assert ((strengths > 0) & (strengths < np.finfo(float).tiny)).any()
+        assert np.isposinf(values).any() and np.isfinite(values).any()
+
+    def test_the_incidence_stops_above_the_constant(self):
+        rng = np.random.default_rng(9)
+        at, above = (
+            simulate_win_matrix(rng.normal(size=m), 2, rng)
+            for m in (INCIDENCE_MAX_ENTITIES, INCIDENCE_MAX_ENTITIES + 1)
+        )
+        assert at.pairs.incidence is not None and above.pairs.incidence is None
+        assert at.pairs.incidence.flags.c_contiguous  # column-major, the product is slower
+        self.check(at.pairs, rng.normal(scale=1.5, size=(6, at.m)))
+        product = above.pairs._replace(incidence=loop_incidence(above.pairs, above.m))
+        self.check(product, rng.normal(scale=1.5, size=(6, above.m)))
 
 
 def fords_condition_holds(wins) -> bool:

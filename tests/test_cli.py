@@ -20,6 +20,7 @@ from btrank import (
     KernelSpec, build_prior, build_win_matrix, diagnostics, load_chain, mle_newman, save_chain,
     summarize, trace_export,
 )
+from btrank.bt import NoMleError
 from btrank.cli import (
     _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main,
     read_config_file,
@@ -179,6 +180,27 @@ class TestFit:
         out = tmp_path / "run"
         assert main(fixture_args(out, "--zones", "high")) == 0
         assert "fit: 10 entities" in capsys.readouterr().out
+
+    def test_no_likelihood_estimate_leaves_the_baseline_out(self, tmp_path, capsys, monkeypatch):
+        def no_estimate(w):
+            raise NoMleError("'a' beats 'b' along no chain of wins (Ford's condition)")
+
+        monkeypatch.setattr("btrank.cli.mle_newman", no_estimate)
+        out = tmp_path / "run"
+        assert main(fixture_args(out)) == 0
+        assert "warning: skipping likelihood baseline: 'a' beats 'b'" in capsys.readouterr().err
+        with open(out / "ranking.csv", newline="", encoding="utf-8") as handle:
+            assert {row["mle_rank"] for row in csv.DictReader(handle)} == {""}
+
+    def test_a_baseline_solver_that_fails_fails_the_fit(self, tmp_path, capsys, monkeypatch):
+        def diverges(w):
+            raise RuntimeError("Newton's method did not converge within 100 steps")
+
+        monkeypatch.setattr("btrank.cli.mle_newman", diverges)
+        out = tmp_path / "run"
+        assert main(fixture_args(out)) == 2
+        assert "error: Newton's method did not converge" in capsys.readouterr().err
+        assert not (out / "ranking.csv").exists()
 
 
 class TestMle:
