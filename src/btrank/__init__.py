@@ -6,103 +6,54 @@ to sum to zero), samples the posterior with a preconditioned Crank-Nicolson
 chain whose prior variance is Gibbs-refreshed, and summarizes rankings with
 effective-sample-size and rank-stability diagnostics.  A classical maximum
 likelihood fit is included as a baseline.
+
+Each public name, and each library submodule, is imported on first use
+(PEP 562), so ``import btrank.data`` runs the data loader and what it
+imports, not the sampler.
 """
 
-from .bt import log_likelihood, mle_newman, win_probability
-from .data import (
-    IncomeTable,
-    IndicatorTable,
-    align_entities,
-    apply_missing_policy,
-    income_for_entities,
-    load_dataset,
-    load_income,
-    load_indicators,
-    subset_by_zone,
-)
-from .diagnostics import (
-    DiagnosticsReport,
-    acceptance_rate,
-    diagnose,
-    kendall_tau_distance,
-    multivariate_ess,
-    rank_entities,
-    rank_stability_series,
-    sample_covariance,
-    spectral_longrun,
-    trace_export,
-    univariate_ess,
-)
-from .mcmc import (
-    ChainSamples,
-    SamplerConfig,
-    gibbs_variance,
-    load_chain,
-    posterior_mean,
-    run_chain,
-    save_chain,
-)
-from .prior import (
-    ConstrainedCovariance,
-    KernelSpec,
-    build_prior,
-    constrain,
-    kernel_matrix,
-    log_income_distance,
-    sample_constrained,
-)
-from .report import RankingReport, export_report, summarize
-from .sim import SimStudySpec, run_recovery_study, simulate_win_matrix
-from .wins import WinMatrix, build_win_matrix, export_win_matrix, total_comparisons
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainSamples",
-    "ConstrainedCovariance",
-    "DiagnosticsReport",
-    "IncomeTable",
-    "IndicatorTable",
-    "KernelSpec",
-    "RankingReport",
-    "SamplerConfig",
-    "SimStudySpec",
-    "WinMatrix",
-    "acceptance_rate",
-    "align_entities",
-    "apply_missing_policy",
-    "build_prior",
-    "build_win_matrix",
-    "constrain",
-    "diagnose",
-    "export_report",
-    "export_win_matrix",
-    "gibbs_variance",
-    "income_for_entities",
-    "kendall_tau_distance",
-    "kernel_matrix",
-    "load_chain",
-    "load_dataset",
-    "load_income",
-    "load_indicators",
-    "log_income_distance",
-    "log_likelihood",
-    "mle_newman",
-    "multivariate_ess",
-    "posterior_mean",
-    "rank_entities",
-    "rank_stability_series",
-    "run_chain",
-    "run_recovery_study",
-    "sample_constrained",
-    "sample_covariance",
-    "save_chain",
-    "simulate_win_matrix",
-    "spectral_longrun",
-    "subset_by_zone",
-    "summarize",
-    "total_comparisons",
-    "trace_export",
-    "univariate_ess",
-    "win_probability",
-]
+# each library submodule and the public names it defines
+_API = {
+    "bt": ("log_likelihood", "mle_newman", "win_probability"),
+    "data": (
+        "IncomeTable", "IndicatorTable", "align_entities", "apply_missing_policy",
+        "income_for_entities", "load_dataset", "load_income", "load_indicators", "subset_by_zone",
+    ),
+    "diagnostics": (
+        "DiagnosticsReport", "acceptance_rate", "diagnose", "kendall_tau_distance",
+        "multivariate_ess", "rank_entities", "rank_stability_series", "sample_covariance",
+        "spectral_longrun", "trace_export", "univariate_ess",
+    ),
+    "mcmc": (
+        "ChainSamples", "SamplerConfig", "gibbs_variance", "load_chain", "posterior_mean",
+        "run_chain", "save_chain",
+    ),
+    "prior": (
+        "ConstrainedCovariance", "KernelSpec", "build_prior", "constrain", "kernel_matrix",
+        "log_income_distance", "sample_constrained",
+    ),
+    "report": ("RankingReport", "export_report", "summarize"),
+    "sim": ("SimStudySpec", "run_recovery_study", "simulate_win_matrix"),
+    "wins": ("WinMatrix", "build_win_matrix", "export_win_matrix", "total_comparisons"),
+}
+_HOME = {name: module for module, names in _API.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _API:
+        # importing a submodule binds it here, so this runs once per submodule
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_API, *__all__})

@@ -166,7 +166,8 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     discarded unchecked.  The Gibbs scale and the contracted state are
     recomputed only when the chain moves.  Every proposal and log-likelihood
     is computed row by row, so the draws do not depend on how the
-    iterations were batched.
+    iterations were batched.  A non-finite proposal log-likelihood or Gibbs
+    scale raises ``FloatingPointError`` naming its iteration.
     """
     if w.m != cov.m:
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
@@ -222,6 +223,9 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
                     state, loglik = proposals[row - k], proposed
                     if pinned is None:
                         scale = config.prior_scale + float(state[m:] @ state[m:])
+                        if not math.isfinite(scale):
+                            t = start + row + 1
+                            raise FloatingPointError(f"non-finite Gibbs variance scale at iteration {t}")
                         root_scale = math.sqrt(scale)
                     pulled = contraction * state
                     accepted += 1

@@ -9,6 +9,7 @@ tests read the tracer as it is and check its contract against the package.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -40,6 +41,23 @@ def hooked(tracer):
 
 def test_every_hooked_attribute_exists(tracer):
     missing = [f"{name}.{attr}" for name, attr, func in hooked(tracer) if func is None]
+    assert missing == []
+
+
+def test_every_hook_the_tracer_source_lists_exists_after_importing_the_cli():
+    # read from the source without running it: the tracer's own imports and
+    # set-up play no part in whether the package still has these names
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    hooks = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "HOOKS"
+    )
+    importlib.import_module("btrank.cli")
+    missing = [
+        f"{name}.{attr}" for name, attrs in hooks.items() for attr in attrs
+        if not hasattr(importlib.import_module(name), attr)
+    ]
+    assert "btrank.cli" in hooks
     assert missing == []
 
 

@@ -340,6 +340,27 @@ class TestWhitenedKernel:
         with pytest.raises(FloatingPointError, match=f"at iteration {BLOCK + 4}$"):
             run_chain(toy_wins, toy_prior, config)
 
+    def test_a_runaway_gibbs_variance_is_named_where_it_overflows(self, fixture_dataset, monkeypatch):
+        # with no comparisons every proposal is accepted and the Gibbs scale
+        # grows geometrically until u @ u overflows; the chain must stop there,
+        # before merits scaled by an infinite root reach the likelihood
+        _, income = fixture_dataset
+        cov = build_prior(income, KernelSpec("squared_exponential", 0.09))
+        config = SamplerConfig(beta=0.5, iterations=20_000, burn_in=0, seed=11)
+        real, scored = mcmc._log_likelihood, []
+
+        def checked(merits, pairs):
+            scored.append(bool(np.isfinite(merits).all()))
+            return real(merits, pairs)
+
+        monkeypatch.setattr(mcmc, "_log_likelihood", checked)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as caught:
+            run_chain(flat_wins(cov.m), cov, config)
+        message = str(caught.value)
+        assert message.startswith("non-finite Gibbs variance scale at iteration ")
+        assert 0 < int(message.rsplit(" ", 1)[1]) <= 4214
+        assert all(scored)
+
     def test_non_finite_proposals_past_an_acceptance_are_never_seen(
         self, toy_wins, toy_prior, monkeypatch
     ):
