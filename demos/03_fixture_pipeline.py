@@ -47,7 +47,7 @@ cov = build_prior(income, kernel)
 print(f"prior rank {cov.rank} on {cov.m} entities (jitter applied: {cov.jitter_applied})")
 
 # a short chain for demonstration; production runs use millions of steps
-config = SamplerConfig(beta=0.009, iterations=100_000, seed=0, kernel=kernel)
+config = SamplerConfig(beta=0.009, iterations=100_000, seed=0)
 samples = run_chain(w, cov, config)
 report = diagnose(samples)
 print(

@@ -14,8 +14,8 @@ the input.  The output opens with ``# key: value`` lines naming the machine
 (``machine()``); each line after them is ``sha256  relative/path``.  A run's
 stdout is digested as ``<run>.stdout`` after its output directory is replaced
 by ``<out>``.  ``output_digest.txt`` beside this script is the output at the
-current commit, which ``tests/test_output_digest.py`` checks on a machine with
-the same header; a change that moves an output rewrites it::
+current commit, whose digest lines ``tests/test_output_digest.py`` checks on
+every machine; a change that moves an output rewrites it::
 
     python3 scripts/output_digest.py > scripts/output_digest.txt
 """

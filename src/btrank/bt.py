@@ -38,7 +38,8 @@ def _log_likelihood(merits: np.ndarray, pairs: PairList) -> np.ndarray:
     with strengths ``s = exp(m - max(m))``: the wins add up to the contests,
     so the shift keeps the value.  It is exact to rounding while each compared
     pair has a merit within about 708 of the largest; past about 745 both
-    strengths underflow and the value is ``+inf``.  ``s @ pairs.incidence``
+    strengths underflow and the value is ``+inf``, where the callers that
+    test finiteness fall back on :func:`_pairwise_log_likelihood`.  ``s @ pairs.incidence``
     gives the pair strengths in one BLAS call, bit for bit the gathered
     ``s_i + s_j``: each output adds exact zeros to ``s_i * 1 + s_j * 1`` (``s``
     is finite and nonnegative), one rounding in any order or fused form.  At
@@ -52,6 +53,14 @@ def _log_likelihood(merits: np.ndarray, pairs: PairList) -> np.ndarray:
     return np.vecdot(shifted, pairs.total_wins) - np.vecdot(np.log(pair_strength), pairs.counts)
 
 
+def _pairwise_log_likelihood(merits: np.ndarray, pairs: PairList) -> float:
+    """Log-likelihood of one merit vector, ``total_wins @ m - counts @ logaddexp(m_i, m_j)``.
+
+    Finite where the strength form gives ``+inf``, but slower: two gathers and a ``logaddexp`` per pair.
+    """
+    return float(pairs.total_wins @ merits - pairs.counts @ np.logaddexp(merits[pairs.i], merits[pairs.j]))
+
+
 def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
     """Bradley-Terry log-likelihood of a merit vector of shape ``(M,)``.
 
@@ -60,22 +69,22 @@ def log_likelihood(merits: np.ndarray, w: WinMatrix) -> float:
     summed in the strength form ``wins[i,j] m_i + wins[j,i] m_j -
     comparisons[i,j] log(exp(m_i) + exp(m_j))`` over the compared pairs only.
 
+    Past the strength form's limit, the pairwise form gives the value.
+
     Raises
     ------
     ValueError
-        If the value is not finite: a merit is not finite, or both merits of
-        a compared pair lie more than about 745 below the largest merit.
+        If the value is not finite, as when a merit is not finite.
     """
     merits = np.asarray(merits, dtype=float)
     if merits.shape != (w.m,):
         raise ValueError(f"merits must have shape {(w.m,)}, got {merits.shape}")
     with np.errstate(all="ignore"):
         value = float(_log_likelihood(merits, w.pairs))
+        if value == math.inf:
+            value = _pairwise_log_likelihood(merits, w.pairs)
     if not math.isfinite(value):
-        raise ValueError(
-            "log-likelihood is not finite: merits must be finite, and each compared pair "
-            "needs a merit within about 745 of the largest merit"
-        )
+        raise ValueError("log-likelihood is not finite: merits must be finite")
     return value
 
 

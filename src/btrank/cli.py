@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -210,7 +210,7 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, names, cov=None
         window=options["window"],
         extra_flags=extra_flags,
     )
-    write_json(report.to_dict(), out / "diagnostics.json")
+    write_json(asdict(report), out / "diagnostics.json")
 
     trace, acf, names = trace_export(samples, names, cov=cov, bandwidth=options["bandwidth"])
     # the draw column numbers the kept draws from 1, so the stride shows
@@ -239,7 +239,7 @@ def cmd_fit(args) -> int:
     w = build_win_matrix(table, options["tie_policy"])
     kernel = _kernel_spec(options, options["length_scale"])
     cov = build_prior(income, kernel, jitter=options["jitter"])
-    config = _from_options(SamplerConfig, options, kernel=kernel)
+    config = _from_options(SamplerConfig, options)
     # fail before sampling; a fit has the prior and run_chain records the log-likelihood
     names = _trace_names(options, config.n_kept, w.m, quad_form=True, loglik=True)
     _check_summary(config.n_kept, options["level"])
@@ -254,7 +254,8 @@ def cmd_fit(args) -> int:
     if options["export_win_matrix"]:
         export_win_matrix(w, out / "win_matrix.csv")
     flags = {"jitter_applied": cov.jitter_applied}
-    save_chain(samples, out / "chain.npz", metadata={**flags, "entities": list(w.entities)})
+    metadata = {**flags, "kernel": asdict(kernel), "entities": list(w.entities)}
+    save_chain(samples, out / "chain.npz", metadata=metadata)
     report = _write_diagnostics(out, samples, options, flags, names, cov=cov)
 
     baseline = None
@@ -322,7 +323,7 @@ def cmd_simulate(args) -> int:
     scales = options["length_scales"]
     kernel = _kernel_spec(options, scales[0] if scales else 0.5)
     spec = _from_options(SimStudySpec, options, kernel=kernel)
-    sampler = _from_options(SamplerConfig, options, kernel=kernel)
+    sampler = _from_options(SamplerConfig, options)
     out = _out_dir(options)
     rows = run_recovery_study(spec, sampler)
     write_study_csv(rows, out / "study.csv")

@@ -388,8 +388,18 @@ def write_long_csv(path, header, column, names, index) -> None:
                 handle.write("".join(parts))
 
 
+def _numpy_to_json(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(payload, path) -> None:
-    """Write ``payload`` as JSON indented by 2 with sorted keys and a final newline."""
+    """Write ``payload`` as JSON indented by 2 with sorted keys and a final newline.
+
+    Numpy arrays and scalars are written as their ``tolist()`` values; any
+    other object that JSON cannot hold raises ``TypeError``.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, default=_numpy_to_json)
         handle.write("\n")

@@ -6,13 +6,13 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bt import _log_likelihood
-from .prior import ConstrainedCovariance, KernelSpec
+from .bt import _log_likelihood, _pairwise_log_likelihood
+from .prior import ConstrainedCovariance
 from .wins import WinMatrix
 
 # fixed zip entry timestamp so chain dumps are byte-identical across runs
@@ -47,7 +47,6 @@ class SamplerConfig:
     prior_shape: float = 2.0
     prior_scale: float = 1.0
     seed: int = 0
-    kernel: KernelSpec = field(default_factory=lambda: KernelSpec("squared_exponential", 0.09))
     fix_variance: float | None = None
     rank_adjusted_shape: bool = False
 
@@ -133,6 +132,8 @@ def _gibbs_shape(prior_shape: float, cov: ConstrainedCovariance, m: int, rank_ad
     return prior_shape + 0.5 * (cov.rank if rank_adjusted else m)
 
 
+# a compared pair whose strengths both underflow takes log(0) before the fallback
+@np.errstate(divide="ignore")
 def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -> ChainSamples:
     """Run one Gibbs-within-pCN chain and return post-burn-in draws.
 
@@ -166,8 +167,10 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     discarded unchecked.  The Gibbs scale and the contracted state are
     recomputed only when the chain moves.  Every proposal and log-likelihood
     is computed row by row, so the draws do not depend on how the
-    iterations were batched.  A non-finite proposal log-likelihood or Gibbs
-    scale raises ``FloatingPointError`` naming its iteration.
+    iterations were batched.  A proposal whose strength-form log-likelihood
+    is ``+inf`` is scored in the pairwise form instead; a log-likelihood or
+    Gibbs scale that is still not finite raises ``FloatingPointError``
+    naming its iteration.
     """
     if w.m != cov.m:
         raise ValueError(f"win matrix has {w.m} entities but covariance is {cov.m}-dimensional")
@@ -217,8 +220,11 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
             # scan to the first acceptance; rows past it are never checked
             for row, proposed in enumerate(_log_likelihood(proposals[:, :m], pairs).tolist(), k):
                 if not math.isfinite(proposed):
-                    t = start + row + 1
-                    raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
+                    if proposed == math.inf:  # both strengths of a compared pair underflowed
+                        proposed = _pairwise_log_likelihood(proposals[row - k, :m], pairs)
+                    if not math.isfinite(proposed):
+                        t = start + row + 1
+                        raise FloatingPointError(f"non-finite log-likelihood at iteration {t}")
                 if log_uniforms[row] < proposed - loglik:
                     state, loglik = proposals[row - k], proposed
                     if pinned is None:
@@ -263,11 +269,6 @@ def posterior_mean(samples: ChainSamples) -> np.ndarray:
     if samples.n_kept == 0:
         raise ValueError("chain has no kept draws")
     return samples.merit_draws.mean(axis=0)
-
-
-def _config_from_dict(data: dict) -> SamplerConfig:
-    kernel = KernelSpec(**data.pop("kernel"))
-    return SamplerConfig(kernel=kernel, **data)
 
 
 def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> None:
@@ -321,6 +322,7 @@ def load_chain(path) -> ChainSamples:
     Each array entry fills the field of its name, so a dump without a
     ``loglik_draws`` entry loads with ``loglik_draws=None``.  The acceptance
     counts are those of ``accept_flags``, which older dumps' ``meta.json`` repeats.
+    A ``kernel`` key in the stored settings, which older dumps hold, is ignored.
     """
     path = Path(path)
     try:
@@ -330,7 +332,7 @@ def load_chain(path) -> ChainSamples:
         return ChainSamples(
             accepted=int(meta.get("accepted", arrays["accept_flags"].sum())),
             proposed=int(meta.get("proposed", len(arrays["accept_flags"]))),
-            config=_config_from_dict(meta["config"]),
+            config=SamplerConfig(**{k: v for k, v in meta["config"].items() if k != "kernel"}),
             **arrays,
         )
     except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, TypeError, ValueError) as exc:

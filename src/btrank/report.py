@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,19 +135,12 @@ def summarize(samples: ChainSamples, entities, level: float = 0.95,
 
 def export_report(report: RankingReport, format: str, path) -> None:
     """Write the ranking table as ``csv`` or the full report as ``json``."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")
-    names = ("mean", "sd", "ci_low", "ci_high", "rank")
-    columns = {name: getattr(report, name).tolist() for name in names}
-    mle_rank = report.mle_rank.tolist() if report.mle_rank is not None else None
     if format == "csv":
-        rows = zip(report.entities, *columns.values(), mle_rank or [""] * report.m)
-        write_csv(path, ["entity", *columns, "mle_rank"], rows)
+        names = ("mean", "sd", "ci_low", "ci_high", "rank")
+        mle_rank = report.mle_rank.tolist() if report.mle_rank is not None else [""] * report.m
+        rows = zip(report.entities, *(getattr(report, name).tolist() for name in names), mle_rank)
+        write_csv(path, ["entity", *names, "mle_rank"], rows)
+    elif format == "json":
+        write_json(asdict(report), path)
     else:
-        write_json({
-            **columns,
-            "level": report.level,
-            "entities": list(report.entities),
-            "mle_rank": mle_rank,
-            "outrank": report.outrank.tolist(),
-        }, path)
+        raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")

@@ -143,9 +143,7 @@ def run_recovery_study(spec: SimStudySpec, sampler: SamplerConfig) -> list[dict]
             )
             w = simulate_win_matrix(truth, spec.k_comparisons, np.random.default_rng(sim_seed))
 
-            config = dataclasses.replace(
-                sampler, seed=int(chain_seed.generate_state(1)[0]), kernel=kspec
-            )
+            config = dataclasses.replace(sampler, seed=int(chain_seed.generate_state(1)[0]))
             estimate = posterior_mean(run_chain(w, cov, config))
             rows.append(_metric_row(rep, length_scale, "bayes", truth, estimate))
 

@@ -231,7 +231,7 @@ def test_criterion_6_recovery_study():
     """Posterior means recover synthetic merits; more data helps the baseline."""
     start = time.perf_counter()
     kernel = KernelSpec("squared_exponential", 0.5)
-    sampler = SamplerConfig(beta=0.2, iterations=100_000, kernel=kernel)
+    sampler = SamplerConfig(beta=0.2, iterations=100_000)
     study = SimStudySpec(
         m=10, k_comparisons=100, kernel=kernel, replications=20, seed=2024
     )
@@ -284,7 +284,7 @@ def _fixture_profile(iterations: int, seed: int):
     cov = build_prior(income, kernel)
     config = SamplerConfig(
         beta=0.009, iterations=iterations, seed=seed,
-        prior_shape=2.0, prior_scale=1.0, kernel=kernel,
+        prior_shape=2.0, prior_scale=1.0,
     )
     samples = run_chain(w, cov, config)
     ranking = summarize(samples, w.entities, mle_merits=mle_newman(w))

@@ -15,7 +15,7 @@ from btrank import (
     mle_newman,
     win_probability,
 )
-from btrank.bt import NoMleError, _log_likelihood
+from btrank.bt import NoMleError, _log_likelihood, _pairwise_log_likelihood
 from btrank.sim import simulate_win_matrix
 from btrank.wins import INCIDENCE_MAX_ENTITIES
 
@@ -75,10 +75,10 @@ class TestLogLikelihood:
     @pytest.mark.parametrize(
         "merits",
         [
-            [800.0, -400.0, -400.0],  # both strengths of the pair (1, 2) underflow to zero
             [np.nan, 0.0, 0.0],
             [np.inf, 0.0, 0.0],
             [1e308, -1e308, 0.0],
+            [-np.inf, 0.0, 0.0],
         ],
     )
     def test_a_value_that_is_not_finite_is_an_error(self, merits):
@@ -87,6 +87,18 @@ class TestLogLikelihood:
             warnings.simplefilter("error")  # and no numpy warning beside it
             with pytest.raises(ValueError, match="not finite"):
                 log_likelihood(np.array(merits), w)
+
+    def test_a_pair_far_below_the_largest_merit_takes_the_pairwise_form(self):
+        # both strengths of the pair (1, 2) underflow to zero, so the strength form gives +inf
+        w = wins_matrix(np.ones((3, 3)) - np.eye(3))
+        merits = np.array([800.0, -400.0, -400.0])
+        with np.errstate(divide="ignore"):
+            assert _log_likelihood(merits, w.pairs) == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_likelihood(merits, w)
+        assert value == _pairwise_log_likelihood(merits, w.pairs)
+        np.testing.assert_allclose(value, -2400.0 - 2.0 * np.log(2.0), rtol=1e-15)
 
     def test_shape_mismatch(self, toy_wins):
         m = toy_wins.m

@@ -26,6 +26,7 @@ from btrank.cli import (
     read_config_file,
 )
 from btrank.diagnostics import default_bandwidth
+from btrank.mcmc import read_chain_metadata
 
 from .conftest import DATA_DIR, csv_floats, make_income, rewrite_dump, toy_samples
 
@@ -118,6 +119,14 @@ class TestFit:
         off_diagonal = ~np.eye(w.m, dtype=bool)
         same("win_matrix.csv", "wins", w.wins[off_diagonal])
         same("win_matrix.csv", "comparisons", w.comparisons[off_diagonal])
+
+    def test_the_dump_metadata_names_the_kernel(self, tmp_path):
+        out = tmp_path / "run"
+        extra = ("--kernel", "rational_quadratic", "--mixture", "2", "--length-scale", "0.3")
+        assert main(fixture_args(out, *extra)) == 0
+        metadata = read_chain_metadata(out / "chain.npz")
+        assert metadata["kernel"] == {"kind": "rational_quadratic", "length_scale": 0.3, "mixture": 2.0}
+        assert set(metadata) == {"jitter_applied", "kernel", "entities"}
 
     def test_same_seed_reproduces_outputs_byte_for_byte(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -20,7 +21,7 @@ from btrank import (
     subset_by_zone,
 )
 from btrank import data
-from btrank.data import load_polarity, write_csv, write_long_csv, zone_for_income
+from btrank.data import load_polarity, write_csv, write_json, write_long_csv, zone_for_income
 
 from .conftest import make_table
 
@@ -443,3 +444,20 @@ class TestWriteLongCsv:
         long, rows = long_csv_pair(tmp_path, column, ["merit0", "merit1"], 1, 3)
         assert long == rows
         assert long.split(b"\r\n")[5:8] == [b"13,merit0,0.25", b"1,merit1,0.25", b"4,merit1,0.25"]
+
+
+class TestWriteJson:
+    def test_numpy_values_are_written_as_their_python_values(self, tmp_path):
+        path = tmp_path / "out.json"
+        payload = {"floats": np.array([0.1, 2.5]), "ints": np.arange(3), "count": np.int64(7),
+                   "flag": np.bool_(True), "grid": np.eye(2), "plain": (1, "a", None)}
+        write_json(payload, path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "floats": [0.1, 2.5], "ints": [0, 1, 2], "count": 7, "flag": True,
+            "grid": [[1.0, 0.0], [0.0, 1.0]], "plain": [1, "a", None],
+        }
+        assert path.read_text(encoding="utf-8").endswith("}\n")
+
+    def test_an_object_json_cannot_hold_is_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            write_json({"entities": {"a", "b"}}, tmp_path / "out.json")

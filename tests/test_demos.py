@@ -1,0 +1,26 @@
+"""Every demo runs to its end in a fresh interpreter and prints no warning."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_the_demo_runs_cleanly(demo, tmp_path):
+    # a demo that writes a temporary file writes it under tmp_path
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+               TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr

@@ -33,6 +33,7 @@ from btrank import (
     univariate_ess,
 )
 from btrank import diagnostics
+from btrank.data import write_json
 from btrank.diagnostics import (
     ESS_CAP_FACTOR,
     ESS_FIRST_LAG,
@@ -532,10 +533,15 @@ class TestDiagnose:
         report = diagnose(self.samples, extra_flags={"jitter_applied": True})
         assert report.flags["jitter_applied"] is True
 
-    def test_to_dict_is_json_serializable(self):
-        payload = diagnose(self.samples).to_dict()
-        parsed = json.loads(json.dumps(payload))
-        assert parsed["rank_est"] == 3
+    def test_the_json_file_loads_back_to_the_report(self, tmp_path):
+        report = diagnose(self.samples, extra_flags={"jitter_applied": True})
+        write_json(dataclasses.asdict(report), tmp_path / "diagnostics.json")
+        parsed = json.loads((tmp_path / "diagnostics.json").read_text(encoding="utf-8"))
+        assert parsed == {
+            **dataclasses.asdict(report),
+            "per_param_ess": report.per_param_ess.tolist(),
+            "kendall_series": [list(point) for point in report.kendall_series],
+        }
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="threshold"):

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 import zipfile
 
 import numpy as np
@@ -31,7 +32,9 @@ from btrank import mcmc
 from btrank.bt import _log_likelihood
 from btrank.mcmc import BLOCK, read_chain_metadata
 
-from .conftest import make_income, rewrite_dump, softplus_log_likelihood, toy_samples
+from .conftest import (
+    dense_log_likelihood, make_income, rewrite_dump, softplus_log_likelihood, toy_samples,
+)
 
 
 def flat_wins(m: int) -> WinMatrix:
@@ -340,6 +343,21 @@ class TestWhitenedKernel:
         with pytest.raises(FloatingPointError, match=f"at iteration {BLOCK + 4}$"):
             run_chain(toy_wins, toy_prior, config)
 
+    def test_a_pair_far_below_the_largest_merit_is_scored_in_the_pairwise_form(self):
+        # only the pair (b, c) is compared; at a pinned variance of 10^6, a is
+        # often more than 745 above both, where both their strengths underflow
+        wins = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 2.0, 0.0]])
+        w = WinMatrix(entities=("a", "b", "c"), wins=wins)
+        cov = build_prior(make_income(3), KernelSpec("squared_exponential", 0.1))
+        config = SamplerConfig(beta=0.5, iterations=3000, burn_in=0, seed=5, fix_variance=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning either
+            samples = run_chain(w, cov, config)
+        with np.errstate(divide="ignore"):
+            assert np.isposinf(_log_likelihood(samples.merit_draws, w.pairs)).any()
+        oracle = dense_log_likelihood(samples.merit_draws, w)
+        np.testing.assert_allclose(samples.loglik_draws, oracle, rtol=1e-12)
+
     def test_a_runaway_gibbs_variance_is_named_where_it_overflows(self, fixture_dataset, monkeypatch):
         # with no comparisons every proposal is accepted and the Gibbs scale
         # grows geometrically until u @ u overflows; the chain must stop there,
@@ -610,6 +628,15 @@ class TestPersistence:
         rewrite_dump(path, accepted=samples.accepted, proposed=samples.proposed)
         loaded = load_chain(path)
         assert (loaded.accepted, loaded.proposed) == (samples.accepted, samples.proposed)
+
+    def test_a_dump_whose_settings_name_a_kernel_loads(self, tmp_path, toy_wins, toy_prior):
+        # older dumps stored the prior kernel among the sampler settings
+        samples = self.make_samples(toy_wins, toy_prior)
+        path = tmp_path / "chain.npz"
+        save_chain(samples, path)
+        kernel = {"kind": "squared_exponential", "length_scale": 0.09, "mixture": None}
+        rewrite_dump(path, config={**dataclasses.asdict(samples.config), "kernel": kernel})
+        assert load_chain(path).config == samples.config
 
     def test_identical_samples_dump_byte_identical_files(self, tmp_path, toy_wins, toy_prior):
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"
