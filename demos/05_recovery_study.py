@@ -52,7 +52,9 @@ for label, rows in (("k=25", sparse_rows), ("k=2500", dense_rows)):
     print(f"{label}: posterior mean beats the baseline on {better} of {len(bayes)} replications")
 
 # rows export to CSV for analysis elsewhere
-out = Path(tempfile.mkdtemp()) / "study.csv"
-write_study_csv(sparse_rows + dense_rows, out)
-print(f"\nwrote {sum(1 for _ in open(out)) - 1} rows to {out}")
-print(out.read_text().splitlines()[0])
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "study.csv"
+    write_study_csv(sparse_rows + dense_rows, out)
+    lines = out.read_text().splitlines()
+    print(f"\nwrote {len(lines) - 1} rows to {out}")
+    print(lines[0])

@@ -13,8 +13,8 @@ import numpy as np
 
 from .bt import NoMleError, mle_newman
 from .data import (
-    apply_missing_policy, income_for_entities, load_dataset, subset_by_zone, write_csv, write_json,
-    write_long_csv,
+    LOW_INCOME_MAX, MIDDLE_INCOME_MAX, apply_missing_policy, income_for_entities, load_dataset,
+    subset_by_zone, write_csv, write_json, write_long_csv,
 )
 from .diagnostics import (
     _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, rank_entities,
@@ -88,8 +88,8 @@ OPTIONS = (
     Option("drop_entities", _csv_list, (), _UNUSED, _LOAD),
     Option("tie_policy", str, "split", _UNUSED, _LOAD),
     Option("zones", _csv_list, (), _UNUSED, _LOAD),
-    Option("low_income_max", float, 100_000.0, _UNUSED, _LOAD),
-    Option("middle_income_max", float, 200_000.0, _UNUSED, _LOAD),
+    Option("low_income_max", float, LOW_INCOME_MAX, _UNUSED, _LOAD),
+    Option("middle_income_max", float, MIDDLE_INCOME_MAX, _UNUSED, _LOAD),
     Option("m", int, _UNUSED, 10),
     Option("k_comparisons", int, _UNUSED, 100),
     Option("kernel", str, "squared_exponential", "squared_exponential", ("fit",)),
@@ -193,8 +193,7 @@ def _out_dir(options) -> Path:
 def _trace_names(options, n_kept: int, m: int, quad_form: bool, loglik: bool) -> list[str]:
     """Check the diagnostics settings against a chain's shape; return the traced names."""
     _check_threshold(options["threshold"])
-    if options["bandwidth"] is not None:
-        _check_bandwidth(options["bandwidth"], n_kept)
+    _check_bandwidth(options["bandwidth"], n_kept)
     if options["window"] is not None:
         _check_window(options["window"])
     params = options["trace_params"]
@@ -222,13 +221,12 @@ def _write_diagnostics(out: Path, samples, options, extra_flags, names, cov=None
     return report
 
 
-def _preview(report) -> list[str]:
-    by_rank = sorted(range(report.m), key=lambda i: report.rank[i])
+def _preview(entities, ranks, merits) -> list[str]:
+    """The ``top`` and ``bottom`` lines: the five best and five worst as ``rank. name (merit)``."""
+    by_rank = sorted(range(len(entities)), key=lambda i: ranks[i])
     lines = []
     for label, idx in (("top", by_rank[:5]), ("bottom", by_rank[-5:])):
-        entries = ", ".join(
-            f"{report.rank[i]}. {report.entities[i]} ({report.mean[i]:+.3f})" for i in idx
-        )
+        entries = ", ".join(f"{ranks[i]}. {entities[i]} ({merits[i]:+.3f})" for i in idx)
         lines.append(f"  {label}: {entries}")
     return lines
 
@@ -269,7 +267,7 @@ def cmd_fit(args) -> int:
 
     rate = report.acceptance_rate
     print(f"acceptance rate {rate:.3f}, ess {report.ess:.1f} on a rank-{report.rank_est} subspace")
-    for line in _preview(ranking):
+    for line in _preview(ranking.entities, ranking.rank, ranking.mean):
         print(line)
     print(f"outputs written to {out}")
     if not ACCEPT_BAND[0] <= rate <= ACCEPT_BAND[1]:
@@ -294,9 +292,8 @@ def cmd_mle(args) -> int:
         ["entity", "merit", "rank"],
         zip(w.entities, merits.tolist(), ranks.tolist()),
     )
-    best = sorted(range(w.m), key=lambda i: ranks[i])[:5]
     print(f"mle: {w.m} entities, {table.k} indicators, {total_comparisons(w)} comparisons")
-    print("  top: " + ", ".join(f"{ranks[i]}. {w.entities[i]} ({merits[i]:+.3f})" for i in best))
+    print(_preview(w.entities, ranks, merits)[0])
     print(f"outputs written to {out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""CSV ingestion and alignment of the input tables, and the format of every output file."""
+"""CSV ingestion and alignment of the input tables, and the format of the CSV and JSON outputs."""
 
 from __future__ import annotations
 
@@ -12,6 +12,10 @@ import numpy as np
 ZONES = ("low", "middle", "high")
 
 MISSING_POLICIES = ("drop_indicators", "drop_entities")
+
+# default income cut points between the low, middle and high zones
+LOW_INCOME_MAX = 100_000.0
+MIDDLE_INCOME_MAX = 200_000.0
 
 # rows per write in write_long_csv: about 40 kB of text, so memory stays
 # flat however long the column
@@ -175,7 +179,6 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
     if len(header) < 2:
         raise ValueError(f"{path}: need an entity column plus at least one indicator")
     indicators = tuple(cell.strip() for cell in header[1:])
-    _check_unique("indicator", indicators)
 
     entities: list[str] = []
     values = np.full((len(rows) - 1, len(indicators)), np.nan)
@@ -193,7 +196,6 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
                 missing[i, j] = True
             else:
                 values[i, j] = parsed
-    _check_unique("entity", entities)
 
     polarity_map = load_polarity(polarity_path)
     absent = [name for name in indicators if name not in polarity_map]
@@ -218,7 +220,7 @@ def zone_for_income(income: float, low_max: float, middle_max: float) -> str:
     return "high"
 
 
-def load_income(path, *, low_max: float = 100_000.0, middle_max: float = 200_000.0) -> IncomeTable:
+def load_income(path, *, low_max: float = LOW_INCOME_MAX, middle_max: float = MIDDLE_INCOME_MAX) -> IncomeTable:
     """Load an ``entity,income[,zone]`` CSV.
 
     When the zone column is absent or blank the label is derived from the
@@ -326,7 +328,7 @@ def subset_by_zone(table: IndicatorTable, income: IncomeTable, zones) -> tuple[I
 
 
 def load_dataset(indicators_path, polarity_path, income_path, *,
-                 low_max: float = 100_000.0, middle_max: float = 200_000.0):
+                 low_max: float = LOW_INCOME_MAX, middle_max: float = MIDDLE_INCOME_MAX):
     """Load and align the indicator and income tables in one call."""
     table = load_indicators(indicators_path, polarity_path)
     income = load_income(income_path, low_max=low_max, middle_max=middle_max)
@@ -344,6 +346,19 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mark each value, or each row of a 2-D array, that differs in some bit from the one before.
+
+    The first always starts a run.  Bits, not values, are compared: 0.0 ==
+    -0.0 prints differently, and nan != nan.
+    """
+    bits = values.view(f"i{values.itemsize}")
+    starts = np.ones(len(bits), dtype=bool)
+    # reduced over each row of a 2-D array, over no axis for 1-D values
+    np.logical_or.reduce(bits[1:] != bits[:-1], axis=tuple(range(1, bits.ndim)), out=starts[1:])
+    return starts
 
 
 def write_long_csv(path, header, column, names, index) -> None:
@@ -375,11 +390,7 @@ def write_long_csv(path, header, column, names, index) -> None:
             parts = ["", f"{name},", "", "\r\n"] * min(n, LONG_CSV_CHUNK)
             for lo in range(0, n, LONG_CSV_CHUNK):
                 chunk = values[lo : lo + LONG_CSV_CHUNK]
-                # compare bits, not values: 0.0 == -0.0 prints differently
-                # and nan != nan
-                bits = chunk.view(np.int64)
-                starts = np.ones(len(chunk), dtype=bool)
-                np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+                starts = _run_starts(chunk)
                 texts = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
                 size = 4 * len(chunk)
                 del parts[size:]

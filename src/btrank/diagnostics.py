@@ -44,8 +44,9 @@ def default_bandwidth(n: int) -> int:
     return b
 
 
-def _check_bandwidth(bandwidth: int, n: int) -> int:
-    bandwidth = int(bandwidth)
+def _check_bandwidth(bandwidth: int | None, n: int) -> int:
+    """The bandwidth to use for ``n`` draws: ``default_bandwidth(n)`` for None, else checked."""
+    bandwidth = default_bandwidth(n) if bandwidth is None else int(bandwidth)
     if not 1 <= bandwidth <= n:
         raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
     return bandwidth
@@ -91,7 +92,7 @@ def sample_covariance(draws: np.ndarray) -> np.ndarray:
     return _covariance(centred.T @ centred, len(centred))
 
 
-def spectral_longrun(draws: np.ndarray, bandwidth: int, return_flag: bool = False,
+def spectral_longrun(draws: np.ndarray, bandwidth: int | None, return_flag: bool = False,
                      covariance_out: np.ndarray | None = None):
     """Bartlett-windowed long-run covariance estimate.
 
@@ -100,8 +101,9 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int, return_flag: bool = Fals
     ``bandwidth - |k|`` is the number of length-``bandwidth`` windows of the
     zero-padded centred draws holding both draws of a lag-``k`` pair, so the
     sum is the Gram matrix of the window sums, formed ``LONGRUN_BLOCK``
-    windows at a time.  Materially negative eigenvalues are floored at zero;
-    ``return_flag`` additionally reports whether that flooring occurred.
+    windows at a time; a ``bandwidth`` of None uses ``default_bandwidth(N)``.
+    Materially negative eigenvalues are floored at zero; ``return_flag``
+    additionally reports whether that flooring occurred.
     ``covariance_out``, an ``(M, M)`` array, receives the
     :func:`sample_covariance` of the draws, formed from the same centred
     draws instead of a second centred copy.
@@ -170,7 +172,7 @@ def _ess(draws, threshold: float, bandwidth: int | None):
     _check_threshold(threshold)
     draws = _as_draws(draws)
     n, m = draws.shape
-    b = default_bandwidth(n) if bandwidth is None else int(bandwidth)
+    b = _check_bandwidth(bandwidth, n)
     sigma = np.empty((m, m))
     longrun, floored = spectral_longrun(draws, b, return_flag=True, covariance_out=sigma)
     ess, rank_est = _ess_core(sigma, longrun, n, threshold)
@@ -386,7 +388,7 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
         else:
             series[name] = samples.loglik_draws
 
-    b = default_bandwidth(n) if bandwidth is None else _check_bandwidth(bandwidth, n)
+    b = _check_bandwidth(bandwidth, n)
     max_lag = min(b, n - 1)
     stride = trace_stride(n)
     # stacked then flattened, so an empty ``names`` gives empty columns

@@ -303,16 +303,12 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
         archive.writestr(zipfile.ZipInfo("meta.json", date_time=_EPOCH), payload)
 
 
-def _read_meta(path) -> dict:
-    with zipfile.ZipFile(path) as archive:
-        return json.loads(archive.read("meta.json").decode("utf-8"))
-
-
 def read_chain_metadata(path) -> dict:
     """Return the extra metadata dict stored alongside a chain dump."""
     try:
-        return _read_meta(path).get("extra", {})
-    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, OSError) as exc:
+        with np.load(path) as archive:
+            return json.loads(archive["meta.json"]).get("extra", {})
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError, OSError) as exc:
         raise ValueError(f"corrupt or unreadable chain dump {path}: {exc}") from exc
 
 
@@ -326,8 +322,9 @@ def load_chain(path) -> ChainSamples:
     """
     path = Path(path)
     try:
-        meta = _read_meta(path)
+        # np.load gives meta.json, not a .npy entry, as bytes; an empty file is an EOFError
         with np.load(path) as archive:
+            meta = json.loads(archive["meta.json"])
             arrays = {name: archive[name] for name in archive.files if name != "meta.json"}
         return ChainSamples(
             accepted=int(meta.get("accepted", arrays["accept_flags"].sum())),
@@ -335,5 +332,5 @@ def load_chain(path) -> ChainSamples:
             config=SamplerConfig(**{k: v for k, v in meta["config"].items() if k != "kernel"}),
             **arrays,
         )
-    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt or unreadable chain dump {path}: {exc}") from exc

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import write_csv, write_json
+from .data import _run_starts, write_csv, write_json
 from .diagnostics import rank_entities
 from .mcmc import ChainSamples
 
@@ -74,9 +74,8 @@ def _outranking(draws: np.ndarray) -> np.ndarray:
     for start in range(0, n, step):
         chunk = draws[start : start + step]
         # a rejected proposal repeats the row before it: compare each run of
-        # equal rows once (> cannot tell 0.0 from -0.0) and weight its counts
-        starts = np.ones(len(chunk), dtype=bool)
-        np.any(chunk[1:] != chunk[:-1], axis=1, out=starts[1:])
+        # identical rows once and weight its counts
+        starts = _run_starts(chunk)
         rows = chunk[starts]
         lengths = np.diff(np.append(np.flatnonzero(starts), len(chunk)))
         wins += np.einsum("k,kij->ij", lengths, rows[:, :, None] > rows[:, None, :])

@@ -98,26 +98,17 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _metric_row(replication: int, length_scale: float, method: str,
-                truth: np.ndarray, estimate: np.ndarray) -> dict:
-    spearman = _spearman(truth, estimate)
-    pearson = _pearson(truth, estimate)
-    rmse = float(np.sqrt(np.mean((estimate - truth) ** 2)))
-    kendall = int(kendall_tau_distance(rank_entities(truth), rank_entities(estimate)))
-    return {
-        "replication": replication,
-        "length_scale": length_scale,
-        "method": method,
-        "spearman": spearman,
-        "pearson": pearson,
-        "rmse": rmse,
-        "kendall": kendall,
-    }
-
-
-def _failed_row(replication: int, length_scale: float, method: str) -> dict:
-    row = {"replication": replication, "length_scale": length_scale, "method": method}
-    row.update({name: float("nan") for name in ("spearman", "pearson", "rmse", "kendall")})
-    return row
+                truth: np.ndarray, estimate: np.ndarray | None) -> dict:
+    """One study row; an ``estimate`` of None, a likelihood estimate that does not exist, scores NaN."""
+    metrics = (float("nan"),) * 4
+    if estimate is not None:
+        metrics = (
+            _spearman(truth, estimate),
+            _pearson(truth, estimate),
+            float(np.sqrt(np.mean((estimate - truth) ** 2))),
+            kendall_tau_distance(rank_entities(truth), rank_entities(estimate)),
+        )
+    return dict(zip(STUDY_COLUMNS, (replication, length_scale, method, *metrics)))
 
 
 def run_recovery_study(spec: SimStudySpec, sampler: SamplerConfig) -> list[dict]:
@@ -150,9 +141,8 @@ def run_recovery_study(spec: SimStudySpec, sampler: SamplerConfig) -> list[dict]
             try:
                 baseline = mle_newman(w)
             except NoMleError:
-                rows.append(_failed_row(rep, length_scale, "mle"))
-            else:
-                rows.append(_metric_row(rep, length_scale, "mle", truth, baseline))
+                baseline = None
+            rows.append(_metric_row(rep, length_scale, "mle", truth, baseline))
     return rows
 
 

@@ -85,16 +85,17 @@ def toy_samples(merit_draws: np.ndarray, accepted: int | None = None) -> ChainSa
 
 
 def rewrite_dump(path, drop=(), **meta_changes) -> None:
-    """Rewrite a chain dump in place without the entries in ``drop``, with ``meta.json`` edited.
+    """Rewrite a chain dump in place without the entries in ``drop``, with ``meta.json``, if kept, edited.
 
     Dropping ``loglik_draws.npy`` leaves the three arrays and ``meta.json``
     that a dump held before the chain recorded its log-likelihood.
     """
     with zipfile.ZipFile(path) as archive:
         entries = {name: archive.read(name) for name in archive.namelist() if name not in drop}
-    meta = json.loads(entries["meta.json"])
-    meta.update(meta_changes)
-    entries["meta.json"] = json.dumps(meta).encode("utf-8")
+    if "meta.json" in entries:
+        meta = json.loads(entries["meta.json"])
+        meta.update(meta_changes)
+        entries["meta.json"] = json.dumps(meta).encode("utf-8")
     with zipfile.ZipFile(path, "w") as archive:
         for name, data in entries.items():
             archive.writestr(name, data)

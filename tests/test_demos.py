@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_the_demo_runs_cleanly(demo, tmp_path):
-    # a demo that writes a temporary file writes it under tmp_path
+    # a demo that writes a temporary file writes it under tmp_path, and removes it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
                TMPDIR=str(tmp_path))
     proc = subprocess.run(
@@ -24,3 +24,4 @@ def test_the_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -129,6 +129,11 @@ class TestSpectralLongrun:
         longrun = spectral_longrun(draws, default_bandwidth(20_000))
         assert np.linalg.norm(longrun - np.eye(3)) / np.sqrt(3) < 0.15
 
+    def test_no_bandwidth_means_the_default(self):
+        draws = ar1(1000, 3, 0.5, np.random.default_rng(29))
+        expected = spectral_longrun(draws, default_bandwidth(1000))
+        assert spectral_longrun(draws, None).tobytes() == expected.tobytes()
+
     def test_autoregressive_longrun_matches_theory(self):
         # for x_t = rho x_{t-1} + eps with unit innovations the long-run
         # variance is 1 / (1 - rho)^2, i.e. 4.0 at rho = 0.5

@@ -646,11 +646,12 @@ class TestPersistence:
 
     def test_corrupt_dump_raises_a_clear_error(self, tmp_path):
         path = tmp_path / "chain.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(ValueError, match="corrupt or unreadable"):
-            load_chain(path)
-        with pytest.raises(ValueError, match="corrupt or unreadable"):
-            read_chain_metadata(path)
+        for data in (b"this is not a zip archive", b""):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="corrupt or unreadable"):
+                load_chain(path)
+            with pytest.raises(ValueError, match="corrupt or unreadable"):
+                read_chain_metadata(path)
 
     def test_truncated_archive_raises_a_clear_error(self, tmp_path, toy_wins, toy_prior):
         path = tmp_path / "chain.npz"
@@ -673,10 +674,11 @@ class TestPersistence:
 
     def test_dump_without_a_required_entry_is_corrupt(self, tmp_path, toy_wins, toy_prior):
         path = tmp_path / "chain.npz"
-        save_chain(self.make_samples(toy_wins, toy_prior), path)
-        rewrite_dump(path, drop=("variance_draws.npy",))
-        with pytest.raises(ValueError, match="corrupt or unreadable.*variance_draws"):
-            load_chain(path)
+        for entry in ("variance_draws.npy", "meta.json"):
+            save_chain(self.make_samples(toy_wins, toy_prior), path)
+            rewrite_dump(path, drop=(entry,))
+            with pytest.raises(ValueError, match=f"corrupt or unreadable.*{entry.removesuffix('.npy')}"):
+                load_chain(path)
 
     def test_loglik_entry_is_written_only_when_set(self, tmp_path, toy_wins, toy_prior):
         samples = self.make_samples(toy_wins, toy_prior)

@@ -1,4 +1,4 @@
-"""Ranking summaries, outranking shares, ranking comparisons, and exports."""
+"""Ranking summaries, outranking shares, and exports."""
 
 from __future__ import annotations
 
@@ -144,6 +144,10 @@ class TestOutrankingOracle:
     def test_all_equal_draws(self):
         self.check(np.zeros((150, 4)))
         self.check(np.full((101, 2), 0.3))
+        # equal rows that differ only in the sign of a zero start separate runs
+        signed = np.zeros((150, 4))
+        signed[1::2, :2] = -0.0
+        self.check(signed)
 
 
 def rejecting_chain(rng, n, m, accept):
@@ -167,6 +171,8 @@ class TestOutrankingOverRuns:
         # at M=33 a chunk holds 918 draws, so some runs cross a chunk edge
         for m, n, accept in ((33, 4000, 0.05), (33, 3000, 0.3), (4, 500, 0.014), (5, 300, 1.0)):
             self.check(rejecting_chain(rng, n, m, accept))
+        # a chain dump may hold float32 draws, whose rows of 5 are no whole number of int64s
+        self.check(rejecting_chain(rng, 300, 5, 0.3).astype(np.float32))
 
     def test_exact_ties(self):
         draws = rejecting_chain(np.random.default_rng(47), 400, 6, 0.3)

@@ -159,7 +159,8 @@ class TestRunRecoveryStudy:
         rows = run_recovery_study(spec, self.tiny_sampler())
         bayes, mle = rows
         assert math.isfinite(bayes["rmse"])
-        assert math.isnan(mle["rmse"]) and math.isnan(mle["spearman"])
+        assert list(mle) == list(STUDY_COLUMNS)
+        assert all(math.isnan(mle[key]) for key in ("spearman", "pearson", "rmse", "kendall"))
 
     def test_a_solver_that_does_not_converge_stops_the_study(self, monkeypatch):
         # only a nonexistent estimate is a NaN row; a solver failure must not pass as one
