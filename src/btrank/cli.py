@@ -20,7 +20,7 @@ from .diagnostics import (
     _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, rank_entities,
     trace_export, trace_stride,
 )
-from .mcmc import SamplerConfig, load_chain, read_chain_metadata, run_chain, save_chain
+from .mcmc import SamplerConfig, _read_chain, run_chain, save_chain
 from .prior import RATIONAL_QUADRATIC, KernelSpec, build_prior
 from .report import _check_summary, export_report, summarize
 from .sim import SimStudySpec, run_recovery_study, write_study_csv
@@ -300,8 +300,7 @@ def cmd_mle(args) -> int:
 
 def cmd_diagnose(args) -> int:
     options = _merged_options(args, "run", args.config)
-    samples = load_chain(args.chain)
-    extra = read_chain_metadata(args.chain)
+    samples, extra = _read_chain(args.chain)
     flags = {"jitter_applied": extra["jitter_applied"]} if "jitter_applied" in extra else {}
     loglik = samples.loglik_draws is not None
     names = _trace_names(options, samples.n_kept, samples.m, quad_form=False, loglik=loglik)

@@ -259,8 +259,6 @@ def univariate_ess(x: np.ndarray) -> float:
 
 def acceptance_rate(samples: ChainSamples) -> float:
     """Share of post-burn-in proposals that were accepted."""
-    if samples.proposed == 0:
-        raise ValueError("chain recorded no proposals")
     return samples.accepted / samples.proposed
 
 
@@ -308,8 +306,6 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
     """
     _check_window(window)
     n = samples.n_kept
-    if n < 1:
-        raise ValueError("chain has no kept draws")
     # running sums at the window ends only
     sums = np.cumsum(np.add.reduceat(samples.merit_draws, np.arange(0, n, window), axis=0), axis=0)
     final = rank_entities(sums[-1] / n)
@@ -375,8 +371,6 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
     """
     names = _resolve_params(params, samples.m, cov is not None, samples.loglik_draws is not None)
     n = samples.n_kept
-    if n < 1:
-        raise ValueError("chain has no kept draws")
     series: dict[str, np.ndarray] = {}
     for name in names:
         if name.startswith("merit"):

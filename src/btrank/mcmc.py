@@ -73,7 +73,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class ChainSamples:
-    """Post-burn-in draws plus acceptance bookkeeping.
+    """Post-burn-in draws and acceptance bookkeeping, as many as ``config`` makes: at least one.
 
     ``accept_flags`` records the accept/reject outcome of every post-burn-in
     proposal, before thinning, and ``accepted`` must equal their count.
@@ -85,26 +85,28 @@ class ChainSamples:
     merit_draws: np.ndarray
     variance_draws: np.ndarray
     accepted: int
-    proposed: int
     accept_flags: np.ndarray
     config: SamplerConfig
     loglik_draws: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.accepted <= self.proposed:
-            raise ValueError("accepted must lie between 0 and proposed")
-        if self.accept_flags.shape != (self.proposed,):
-            raise ValueError("accept_flags must have one entry per post-burn-in proposal")
+        n_post, n_kept = self.config.iterations - self.config.burn_in, self.config.n_kept
+        if self.accept_flags.shape != (n_post,):
+            raise ValueError(f"accept_flags must have one entry per post-burn-in iteration ({n_post})")
         if self.accepted != int(self.accept_flags.sum()):
             raise ValueError("accepted must equal the number of set accept_flags")
-        if self.merit_draws.ndim != 2 or self.variance_draws.shape != (self.n_kept,):
-            raise ValueError("merit and variance draws must have matching lengths")
-        if self.loglik_draws is not None and self.loglik_draws.shape != (self.n_kept,):
-            raise ValueError("loglik draws must have one entry per kept merit draw")
-        for name in ("merit", "variance", "loglik"):
+        for name, ndim in (("merit", 2), ("variance", 1), ("loglik", 1)):
             draws = getattr(self, f"{name}_draws")
-            if draws is not None and not np.isfinite(draws).all():
+            if draws is None:
+                continue
+            if draws.ndim != ndim or len(draws) != n_kept:
+                raise ValueError(f"{name} draws must have one entry per kept draw ({n_kept})")
+            if not np.isfinite(draws).all():
                 raise ValueError(f"non-finite {name} draws")
+
+    @property
+    def proposed(self) -> int:
+        return len(self.accept_flags)
 
     @property
     def n_kept(self) -> int:
@@ -257,7 +259,6 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
         merit_draws=merit_draws,
         variance_draws=variance_draws,
         accepted=int(accept_flags.sum()),
-        proposed=n_post,
         accept_flags=accept_flags,
         config=config,
         loglik_draws=loglik_draws,
@@ -266,8 +267,6 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
 
 def posterior_mean(samples: ChainSamples) -> np.ndarray:
     """Mean of the kept merit draws (sum-to-zero up to accumulated roundoff)."""
-    if samples.n_kept == 0:
-        raise ValueError("chain has no kept draws")
     return samples.merit_draws.mean(axis=0)
 
 
@@ -277,8 +276,8 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
     Zip entry timestamps are pinned, so identical samples produce
     byte-identical files.  ``loglik_draws`` is written only when set.
     ``meta.json`` holds the sampler settings and ``metadata``, which may
-    carry extra JSON-serializable context (for example prior flags)
-    retrievable via ``read_chain_metadata``.  Each array is streamed into
+    carry extra JSON-serializable context (for example prior flags), which
+    ``btrank diagnose`` reads back.  Each array is streamed into
     its entry ``DUMP_SLICE`` bytes at a time, without a copy of it.
     """
     meta = {"config": asdict(samples.config), "extra": metadata or {}}
@@ -303,34 +302,34 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
         archive.writestr(zipfile.ZipInfo("meta.json", date_time=_EPOCH), payload)
 
 
-def read_chain_metadata(path) -> dict:
-    """Return the extra metadata dict stored alongside a chain dump."""
-    try:
-        with np.load(path) as archive:
-            return json.loads(archive["meta.json"]).get("extra", {})
-    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError, OSError) as exc:
-        raise ValueError(f"corrupt or unreadable chain dump {path}: {exc}") from exc
-
-
 def load_chain(path) -> ChainSamples:
     """Reconstruct ChainSamples from a dump written by ``save_chain``.
 
     Each array entry fills the field of its name, so a dump without a
     ``loglik_draws`` entry loads with ``loglik_draws=None``.  The acceptance
-    counts are those of ``accept_flags``, which older dumps' ``meta.json`` repeats.
-    A ``kernel`` key in the stored settings, which older dumps hold, is ignored.
+    counts are those of ``accept_flags``; older dumps' ``meta.json`` repeats
+    them, and a repeated count that differs makes the dump corrupt, as do
+    arrays whose lengths the stored sampler settings contradict.  A
+    ``kernel`` key in the stored settings, which older dumps hold, is ignored.
     """
+    return _read_chain(path)[0]
+
+
+def _read_chain(path) -> tuple[ChainSamples, dict]:
+    """The samples of a chain dump and the ``metadata`` it was saved with, from one read."""
     path = Path(path)
     try:
         # np.load gives meta.json, not a .npy entry, as bytes; an empty file is an EOFError
         with np.load(path) as archive:
             meta = json.loads(archive["meta.json"])
             arrays = {name: archive[name] for name in archive.files if name != "meta.json"}
+        flags = arrays["accept_flags"]
+        if meta.get("proposed", len(flags)) != len(flags):
+            raise ValueError("proposed must equal the number of accept_flags")
         return ChainSamples(
-            accepted=int(meta.get("accepted", arrays["accept_flags"].sum())),
-            proposed=int(meta.get("proposed", len(arrays["accept_flags"]))),
+            accepted=int(meta.get("accepted", flags.sum())),
             config=SamplerConfig(**{k: v for k, v in meta["config"].items() if k != "kernel"}),
             **arrays,
-        )
+        ), meta.get("extra", {})
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"corrupt or unreadable chain dump {path}: {exc}") from exc

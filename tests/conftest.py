@@ -78,7 +78,6 @@ def toy_samples(merit_draws: np.ndarray, accepted: int | None = None) -> ChainSa
         merit_draws=merit_draws,
         variance_draws=np.ones(n),
         accepted=accepted,
-        proposed=n,
         accept_flags=np.arange(n) < accepted,
         config=SamplerConfig(beta=0.2, iterations=2 * n, burn_in=n),
     )

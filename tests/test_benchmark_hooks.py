@@ -10,6 +10,7 @@ tests read the tracer as it is and check its contract against the package.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -86,3 +87,18 @@ def test_trace_rows_count_every_kept_draw_of_every_parameter(tracer):
     observe = tracer.OBSERVE["diagnostics.trace_export"]
     assert observe(trace_export(samples)) == n * (m + 1)
     assert observe(trace_export(samples, params=["merit0", "variance"])) == n * 2
+
+
+def test_the_harness_reads_of_a_chain_still_work(tracer, tmp_path):
+    # benchmarks/test_bench.py rewrites a dump's flags through dataclasses.replace,
+    # and the tracer sums each chain's accepted and proposed counts
+    draws = np.random.default_rng(4).standard_normal((120, 3))
+    samples = toy_samples(draws - draws.mean(axis=1, keepdims=True))
+    flags = np.zeros(samples.proposed, dtype=bool)
+    flags[: samples.proposed // 20] = True
+    rewritten = dataclasses.replace(samples, accept_flags=flags, accepted=int(flags.sum()))
+    assert rewritten.proposed == len(flags) == 120
+    run = tracer.Tracer()
+    run.observed["mcmc.run_chain"] = [rewritten]
+    counts = tracer._counts(run, tmp_path)
+    assert (counts["accepted"], counts["proposed"]) == (6, 120)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from btrank import (
-    KernelSpec, build_prior, build_win_matrix, diagnostics, load_chain, mle_newman, save_chain,
-    summarize, trace_export,
+    KernelSpec, build_prior, build_win_matrix, diagnostics, load_chain, mcmc, mle_newman,
+    save_chain, summarize, trace_export,
 )
 from btrank.bt import NoMleError
 from btrank.cli import (
@@ -26,7 +26,6 @@ from btrank.cli import (
     read_config_file,
 )
 from btrank.diagnostics import default_bandwidth
-from btrank.mcmc import read_chain_metadata
 
 from .conftest import DATA_DIR, csv_floats, make_income, rewrite_dump, toy_samples
 
@@ -124,7 +123,7 @@ class TestFit:
         out = tmp_path / "run"
         extra = ("--kernel", "rational_quadratic", "--mixture", "2", "--length-scale", "0.3")
         assert main(fixture_args(out, *extra)) == 0
-        metadata = read_chain_metadata(out / "chain.npz")
+        _, metadata = mcmc._read_chain(out / "chain.npz")
         assert metadata["kernel"] == {"kind": "rational_quadratic", "length_scale": 0.3, "mixture": 2.0}
         assert set(metadata) == {"jitter_applied", "kernel", "entities"}
 
@@ -282,6 +281,30 @@ class TestDiagnose:
         assert f"corrupt or unreadable chain dump {dump}: accepted must equal" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("setting, value", [("iterations", 9000), ("thin", 7)])
+    def test_settings_that_contradict_the_arrays_write_nothing(self, tmp_path, capsys, setting, value):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        dump = fit_out / "chain.npz"
+        rewrite_dump(dump, config={**dataclasses.asdict(load_chain(dump).config), setting: value})
+        code = main(["diagnose", str(dump), "--out", str(diag_out)])
+        assert code == 1
+        assert f"corrupt or unreadable chain dump {dump}: " in capsys.readouterr().err
+        assert not diag_out.exists()
+
+    def test_reads_the_dump_once(self, tmp_path, monkeypatch):
+        fit_out = tmp_path / "fit"
+        assert main(fixture_args(fit_out)) == 0
+        loads, real_load = [], np.load
+
+        def counted_load(*args, **kwargs):
+            loads.append(args[0])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counted_load)
+        assert main(["diagnose", str(fit_out / "chain.npz"), "--out", str(tmp_path / "diag")]) == 0
+        assert loads == [fit_out / "chain.npz"]
 
     def test_unknown_trace_parameter_writes_nothing(self, tmp_path, capsys):
         fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"

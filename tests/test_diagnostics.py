@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from btrank import (
-    ChainSamples,
     DiagnosticsReport,
     KernelSpec,
     SamplerConfig,
@@ -306,18 +305,6 @@ class TestAcceptanceRate:
     def test_recomputes_the_ratio(self):
         samples = toy_samples(np.random.default_rng(0).standard_normal((10, 3)), accepted=4)
         assert acceptance_rate(samples) == 0.4
-
-    def test_zero_proposals_is_an_error(self):
-        samples = ChainSamples(
-            merit_draws=np.zeros((0, 3)),
-            variance_draws=np.zeros(0),
-            accepted=0,
-            proposed=0,
-            accept_flags=np.zeros(0, dtype=bool),
-            config=SamplerConfig(beta=0.2, iterations=10),
-        )
-        with pytest.raises(ValueError, match="no proposals"):
-            acceptance_rate(samples)
 
 
 def brute_force_tau(a, b) -> int:

@@ -30,7 +30,7 @@ from btrank import (
 )
 from btrank import mcmc
 from btrank.bt import _log_likelihood
-from btrank.mcmc import BLOCK, read_chain_metadata
+from btrank.mcmc import BLOCK, _read_chain
 
 from .conftest import (
     dense_log_likelihood, make_income, rewrite_dump, softplus_log_likelihood, toy_samples,
@@ -524,67 +524,63 @@ class TestPosteriorMean:
         samples = run_chain(toy_wins, toy_prior, SamplerConfig(beta=0.2, iterations=200, seed=6))
         np.testing.assert_allclose(posterior_mean(samples), samples.merit_draws.mean(axis=0))
 
-    def test_empty_chain_is_an_error(self):
-        empty = ChainSamples(
-            merit_draws=np.empty((0, 3)),
-            variance_draws=np.empty(0),
-            accepted=0,
-            proposed=0,
-            accept_flags=np.zeros(0, dtype=bool),
-            config=SamplerConfig(beta=0.2, iterations=10),
-        )
-        with pytest.raises(ValueError, match="no kept draws"):
-            posterior_mean(empty)
-
 
 class TestChainSamplesValidation:
+    # 5 post-burn-in iterations kept every third: 2 kept draws
+    CONFIG = SamplerConfig(beta=0.2, iterations=8, burn_in=3, thin=3)
+
+    def chain(self, n_flags=5, n_kept=2, accepted=0, **changes):
+        fields = dict(
+            merit_draws=np.zeros((n_kept, 3)),
+            variance_draws=np.ones(n_kept),
+            accepted=accepted,
+            accept_flags=np.zeros(n_flags, dtype=bool),
+            config=self.CONFIG,
+        )
+        return ChainSamples(**{**fields, **changes})
+
+    def test_a_chain_that_matches_its_config(self):
+        samples = self.chain()
+        assert (samples.proposed, samples.n_kept, samples.m) == (5, 2, 3)
+        # proposed is the flags' count, not a field of its own
+        assert "proposed" not in {field.name for field in dataclasses.fields(ChainSamples)}
+
+    @pytest.mark.parametrize("n_flags, n_kept", [(0, 0), (5, 0), (0, 2)])
+    def test_an_empty_chain_cannot_be_constructed(self, n_flags, n_kept):
+        # SamplerConfig forces burn_in < iterations: one proposal and one kept draw at least
+        with pytest.raises(ValueError, match="must have one entry per"):
+            self.chain(n_flags, n_kept)
+        with pytest.raises(ValueError, match="burn_in"):
+            SamplerConfig(beta=0.2, iterations=3, burn_in=3)
+
     def test_accept_flags_must_match_proposed(self):
-        with pytest.raises(ValueError, match="accept_flags"):
-            ChainSamples(
-                merit_draws=np.zeros((2, 3)),
-                variance_draws=np.ones(2),
-                accepted=1,
-                proposed=5,
-                accept_flags=np.zeros(3, dtype=bool),
-                config=SamplerConfig(beta=0.2, iterations=10),
-            )
+        for n_flags in (4, 6):
+            with pytest.raises(ValueError, match=r"accept_flags must have one entry per .* \(5\)"):
+                self.chain(n_flags)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("merit", (1, 3)), ("merit", (3, 3)), ("merit", (2,)),
+        ("variance", (1,)), ("variance", (3,)), ("variance", (2, 1)),
+    ])
+    def test_draws_must_have_the_kept_length_of_the_config(self, name, shape):
+        with pytest.raises(ValueError, match=rf"{name} draws must have one entry per kept draw \(2\)"):
+            self.chain(**{f"{name}_draws": np.ones(shape)})
 
     @pytest.mark.parametrize("accepted", [1, 3])
     def test_accepted_must_count_the_accept_flags(self, accepted):
         with pytest.raises(ValueError, match="number of set accept_flags"):
-            ChainSamples(
-                merit_draws=np.zeros((2, 3)),
-                variance_draws=np.ones(2),
-                accepted=accepted,
-                proposed=5,
-                accept_flags=np.array([True, False, True, False, False]),
-                config=SamplerConfig(beta=0.2, iterations=10),
-            )
+            self.chain(accepted=accepted, accept_flags=np.array([True, False, True, False, False]))
 
     def test_accepted_bounded_by_proposed(self):
         with pytest.raises(ValueError, match="accepted"):
-            ChainSamples(
-                merit_draws=np.zeros((2, 3)),
-                variance_draws=np.ones(2),
-                accepted=9,
-                proposed=5,
-                accept_flags=np.zeros(5, dtype=bool),
-                config=SamplerConfig(beta=0.2, iterations=10),
-            )
+            self.chain(accepted=9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_variance_draws_are_an_error(self, bad):
-        variance_draws = np.ones(4)
-        variance_draws[2] = bad
+        variance_draws = np.ones(2)
+        variance_draws[1] = bad
         with pytest.raises(ValueError, match="non-finite variance draws"):
-            ChainSamples(
-                merit_draws=np.zeros((4, 3)),
-                variance_draws=variance_draws,
-                accepted=0,
-                proposed=4,
-                accept_flags=np.zeros(4, dtype=bool),
-                config=SamplerConfig(beta=0.2, iterations=10),
-            )
+            self.chain(variance_draws=variance_draws)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_loglik_draws_are_an_error(self, bad):
@@ -616,7 +612,9 @@ class TestPersistence:
         assert loaded.accepted == samples.accepted
         assert loaded.proposed == samples.proposed
         assert loaded.config == samples.config
-        assert read_chain_metadata(path) == {"jitter_applied": False}
+        again, extra = _read_chain(path)
+        assert extra == {"jitter_applied": False}
+        assert again.merit_draws.tobytes() == loaded.merit_draws.tobytes()
 
     def test_acceptance_counts_are_stored_once(self, tmp_path, toy_wins, toy_prior):
         samples = self.make_samples(toy_wins, toy_prior)
@@ -651,7 +649,7 @@ class TestPersistence:
             with pytest.raises(ValueError, match="corrupt or unreadable"):
                 load_chain(path)
             with pytest.raises(ValueError, match="corrupt or unreadable"):
-                read_chain_metadata(path)
+                _read_chain(path)
 
     def test_truncated_archive_raises_a_clear_error(self, tmp_path, toy_wins, toy_prior):
         path = tmp_path / "chain.npz"
@@ -727,14 +725,30 @@ class TestPersistence:
         self.writestr_dump(samples, whole, metadata={"jitter_applied": True})
         assert streamed.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("count", ["accepted", "proposed"])
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_accepted_that_disagrees_with_the_flags_is_corrupt(
-        self, tmp_path, toy_wins, toy_prior, delta
+        self, tmp_path, toy_wins, toy_prior, delta, count
     ):
+        # a legacy meta.json repeats both counts; either one off by one is refused
         samples = self.make_samples(toy_wins, toy_prior)
         assert 0 < samples.accepted < samples.proposed
         path = tmp_path / "chain.npz"
         save_chain(samples, path)
-        rewrite_dump(path, accepted=samples.accepted + delta)
-        with pytest.raises(ValueError, match="corrupt or unreadable.*accept_flags"):
+        rewrite_dump(path, accepted=samples.accepted, proposed=samples.proposed)
+        load_chain(path)
+        rewrite_dump(path, **{count: getattr(samples, count) + delta})
+        with pytest.raises(ValueError, match=f"corrupt or unreadable.*{count} must equal.*accept_flags"):
+            load_chain(path)
+
+    @pytest.mark.parametrize("setting, value", [("iterations", 151), ("iterations", 149),
+                                                ("burn_in", 29), ("thin", 3)])
+    def test_settings_that_contradict_the_arrays_are_corrupt(
+        self, tmp_path, toy_wins, toy_prior, setting, value
+    ):
+        samples = self.make_samples(toy_wins, toy_prior)
+        path = tmp_path / "chain.npz"
+        save_chain(samples, path)
+        rewrite_dump(path, config={**dataclasses.asdict(samples.config), setting: value})
+        with pytest.raises(ValueError, match="corrupt or unreadable.*must have one entry per"):
             load_chain(path)

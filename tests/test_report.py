@@ -8,27 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from btrank import (
-    ChainSamples,
-    RankingReport,
-    SamplerConfig,
-    export_report,
-    rank_entities,
-    summarize,
-)
+from btrank import RankingReport, export_report, rank_entities, summarize
 from btrank.report import _outranking
 
-
-def samples_from(draws: np.ndarray) -> ChainSamples:
-    n = len(draws)
-    return ChainSamples(
-        merit_draws=np.asarray(draws, dtype=float),
-        variance_draws=np.ones(n),
-        accepted=n,
-        proposed=n,
-        accept_flags=np.ones(n, dtype=bool),
-        config=SamplerConfig(beta=0.2, iterations=2 * n, burn_in=n),
-    )
+from .conftest import toy_samples
 
 
 class TestRankEntities:
@@ -49,7 +32,7 @@ class TestSummarize:
         draws = self.offsets + 0.3 * rng.standard_normal((4000, 3))
         draws -= draws.mean(axis=1, keepdims=True)
         self.draws = draws
-        self.samples = samples_from(draws)
+        self.samples = toy_samples(draws)
         self.entities = ("up", "down_a", "down_b")
 
     def test_moments_and_intervals(self):
@@ -74,7 +57,7 @@ class TestSummarize:
         draws = np.zeros((200, 2))
         draws[:100, 0] = 1.0
         draws[:100, 1] = -1.0
-        report = summarize(samples_from(draws), ("x", "y"))
+        report = summarize(toy_samples(draws), ("x", "y"))
         # 100 wins for x plus 100 exact ties split in half
         np.testing.assert_allclose(report.outrank[0, 1], (100 + 50) / 200)
 
@@ -83,7 +66,7 @@ class TestSummarize:
             draws = self.draws.copy()
             draws[17, 1] = bad
             with pytest.raises(ValueError, match="non-finite merit draws"):
-                summarize(samples_from(draws), self.entities)
+                summarize(toy_samples(draws), self.entities)
 
     def test_baseline_merits_add_a_second_ranking(self):
         report = summarize(self.samples, self.entities, mle_merits=np.array([0.0, 2.0, 1.0]))
@@ -96,7 +79,7 @@ class TestSummarize:
         assert report.mle_ranks_by_entity() is None
 
     def test_too_few_draws_is_an_error(self):
-        short = samples_from(np.random.default_rng(1).standard_normal((99, 3)))
+        short = toy_samples(np.random.default_rng(1).standard_normal((99, 3)))
         with pytest.raises(ValueError, match="at least 100"):
             summarize(short, self.entities)
 
@@ -131,7 +114,7 @@ class TestOutrankingOracle:
 
     def check(self, draws):
         names = tuple(f"e{i:02d}" for i in range(draws.shape[1]))
-        outrank = summarize(samples_from(draws), names).outrank
+        outrank = summarize(toy_samples(draws), names).outrank
         assert outrank.tobytes() == two_pass_outranking(draws).tobytes()
 
     def test_quantised_draws(self):
@@ -229,7 +212,7 @@ class TestExportReport:
         draws = np.array([0.8, 0.0, -0.8]) + 0.2 * rng.standard_normal((500, 3))
         draws -= draws.mean(axis=1, keepdims=True)
         return summarize(
-            samples_from(draws), ("first", "second", "third"),
+            toy_samples(draws), ("first", "second", "third"),
             mle_merits=np.array([0.7, 0.1, -0.8]),
         )
 
@@ -248,7 +231,7 @@ class TestExportReport:
     def test_csv_blank_mle_column_without_baseline(self, tmp_path):
         rng = np.random.default_rng(51)
         draws = rng.standard_normal((200, 2))
-        report = summarize(samples_from(draws), ("a", "b"))
+        report = summarize(toy_samples(draws), ("a", "b"))
         path = tmp_path / "ranking.csv"
         export_report(report, "csv", path)
         with open(path, newline="", encoding="utf-8") as handle:
