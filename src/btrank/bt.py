@@ -121,8 +121,11 @@ def _check_mle_exists(w: WinMatrix) -> None:
 # Newton's stopping decrement as a share of 1 + |log-likelihood|: far above where rounding stalls it
 NEWTON_DECREMENT = 1e-16
 
+# most Newton steps mle_newman takes; the bundled data needs 7
+NEWTON_MAX_STEPS = 100
 
-def mle_newman(w: WinMatrix, max_iter: int = 100) -> np.ndarray:
+
+def mle_newman(w: WinMatrix) -> np.ndarray:
     """Maximum likelihood merit vector by damped Newton steps on the sum-to-zero subspace.
 
     Each step, from zero merits, solves ``(L + 11'/M) step = gradient``, where
@@ -131,26 +134,23 @@ def mle_newman(w: WinMatrix, max_iter: int = 100) -> np.ndarray:
     weights ``comparisons[i,j] p_ij (1 - p_ij)`` on the compared pairs.  Steps
     are halved until Armijo's rule holds.  At a decrement ``gradient @ step``
     of at most ``NEWTON_DECREMENT * (1 + |log-likelihood|)`` the full step is
-    taken and the centred merits returned.  ``max_iter`` caps the steps.  The
-    name stays from the fixed-point iteration this replaced, for its callers.
+    taken and the centred merits returned.  ``NEWTON_MAX_STEPS`` caps the
+    steps.  The name stays from the fixed-point iteration this replaced, for
+    its callers.
 
     Raises
     ------
-    ValueError
-        If ``max_iter`` is below 1.
     NoMleError
         A ``RuntimeError``: no estimate exists (Ford's condition fails).
     RuntimeError
-        If ``max_iter`` steps do not reach the stopping rule.
+        If ``NEWTON_MAX_STEPS`` steps do not reach the stopping rule.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     _check_mle_exists(w)
 
     i, j, counts, total_wins, m = w.pairs.i, w.pairs.j, w.pairs.counts, w.pairs.total_wins, w.m
     merits = np.zeros(m)
     loglik = float(_log_likelihood(merits, w.pairs))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_STEPS):
         p = 0.5 + 0.5 * np.tanh(0.5 * (merits[i] - merits[j]))  # p_ij, with no overflow
         expected, weight = counts * p, counts * p * (1.0 - p)
         gradient = total_wins - np.bincount(i, expected, m) - np.bincount(j, counts - expected, m)
@@ -169,4 +169,4 @@ def mle_newman(w: WinMatrix, max_iter: int = 100) -> np.ndarray:
             t /= 2
             value = float(_log_likelihood(merits + t * step, w.pairs))
         merits, loglik = merits + t * step, value
-    raise RuntimeError(f"Newton's method did not converge within {max_iter} steps")
+    raise RuntimeError(f"Newton's method did not converge within {NEWTON_MAX_STEPS} steps")

@@ -247,11 +247,18 @@ def cmd_fit(args) -> int:
         f"fit: {w.m} entities, {table.k} indicators, {total_comparisons(w)} comparisons; "
         f"{config.iterations} iterations (burn-in {config.burn_in}, thin {config.thin})"
     )
+    rank_deficient = cov.rank < w.m - 1
+    if rank_deficient:
+        print(
+            f"warning: the prior has rank {cov.rank}, below M - 1 = {w.m - 1}, at length scale "
+            f"{kernel.length_scale}; the merits are sampled on a rank-{cov.rank} subspace",
+            file=sys.stderr,
+        )
     samples = run_chain(w, cov, config)
 
     if options["export_win_matrix"]:
         export_win_matrix(w, out / "win_matrix.csv")
-    flags = {"jitter_applied": cov.jitter_applied}
+    flags = {"jitter_applied": cov.jitter_applied, "prior_rank_deficient": rank_deficient}
     metadata = {**flags, "kernel": asdict(kernel), "entities": list(w.entities)}
     save_chain(samples, out / "chain.npz", metadata=metadata)
     report = _write_diagnostics(out, samples, options, flags, names, cov=cov)
@@ -301,7 +308,8 @@ def cmd_mle(args) -> int:
 def cmd_diagnose(args) -> int:
     options = _merged_options(args, "run", args.config)
     samples, extra = _read_chain(args.chain)
-    flags = {"jitter_applied": extra["jitter_applied"]} if "jitter_applied" in extra else {}
+    # the fit's flags are the metadata's booleans
+    flags = {key: value for key, value in extra.items() if isinstance(value, bool)}
     loglik = samples.loglik_draws is not None
     names = _trace_names(options, samples.n_kept, samples.m, quad_form=False, loglik=loglik)
     out = _out_dir(options)

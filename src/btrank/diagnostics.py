@@ -92,9 +92,8 @@ def sample_covariance(draws: np.ndarray) -> np.ndarray:
     return _covariance(centred.T @ centred, len(centred))
 
 
-def spectral_longrun(draws: np.ndarray, bandwidth: int | None, return_flag: bool = False,
-                     covariance_out: np.ndarray | None = None):
-    """Bartlett-windowed long-run covariance estimate.
+def spectral_longrun(draws: np.ndarray, bandwidth: int | None) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Bartlett-windowed long-run covariance, whether it was floored, and the sample covariance.
 
     The sample covariance plus the lag-``k`` autocovariances (divisor N),
     ``0 < |k| < bandwidth``, weighted by ``1 - |k| / bandwidth``.  The weight
@@ -102,19 +101,16 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int | None, return_flag: bool
     zero-padded centred draws holding both draws of a lag-``k`` pair, so the
     sum is the Gram matrix of the window sums, formed ``LONGRUN_BLOCK``
     windows at a time; a ``bandwidth`` of None uses ``default_bandwidth(N)``.
-    Materially negative eigenvalues are floored at zero; ``return_flag``
-    additionally reports whether that flooring occurred.
-    ``covariance_out``, an ``(M, M)`` array, receives the
-    :func:`sample_covariance` of the draws, formed from the same centred
-    draws instead of a second centred copy.
+    Materially negative eigenvalues are floored at zero, and the flag says
+    whether that happened.  The third value is :func:`sample_covariance` of
+    the draws, formed from the same centred draws instead of a second copy.
     """
     n = len(draws)
     b = _check_bandwidth(bandwidth, n)
     padded = _centred(draws, pad=b)
     centred = padded[b : b + n]
     gram = centred.T @ centred
-    if covariance_out is not None:
-        covariance_out[...] = _covariance(gram, n)
+    sigma = _covariance(gram, n)
     # after the running sum, padded[i] - padded[i - b] sums the b rows ending
     # at row i; the windows ending at rows b .. n + 2b - 2 hold a draw
     np.cumsum(padded, axis=0, out=padded)
@@ -132,7 +128,7 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int | None, return_flag: bool
     if floored:
         longrun = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
         longrun = 0.5 * (longrun + longrun.T)
-    return (longrun, floored) if return_flag else longrun
+    return longrun, floored, sigma
 
 
 def _ess_core(sigma: np.ndarray, longrun: np.ndarray, n: int, threshold: float) -> tuple[float, int]:
@@ -171,10 +167,9 @@ def _ess(draws, threshold: float, bandwidth: int | None):
     """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
     _check_threshold(threshold)
     draws = _as_draws(draws)
-    n, m = draws.shape
+    n = len(draws)
     b = _check_bandwidth(bandwidth, n)
-    sigma = np.empty((m, m))
-    longrun, floored = spectral_longrun(draws, b, return_flag=True, covariance_out=sigma)
+    longrun, floored, sigma = spectral_longrun(draws, b)
     ess, rank_est = _ess_core(sigma, longrun, n, threshold)
     ess, capped = _cap_ess(ess, n)
     return ess, rank_est, b, floored, capped

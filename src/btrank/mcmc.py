@@ -25,9 +25,6 @@ BLOCK = 1024
 # most proposals scored in one likelihood call; it sets the speed, never the draws
 BATCH = 64
 
-# bytes per write when save_chain streams an array into its zip entry
-DUMP_SLICE = 1 << 20
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -277,8 +274,8 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
     byte-identical files.  ``loglik_draws`` is written only when set.
     ``meta.json`` holds the sampler settings and ``metadata``, which may
     carry extra JSON-serializable context (for example prior flags), which
-    ``btrank diagnose`` reads back.  Each array is streamed into
-    its entry ``DUMP_SLICE`` bytes at a time, without a copy of it.
+    ``btrank diagnose`` reads back.  Each array goes into its entry in one
+    write of its own buffer, without a copy of it.
     """
     meta = {"config": asdict(samples.config), "extra": metadata or {}}
     names = ("merit_draws", "variance_draws", "accept_flags", "loglik_draws")
@@ -289,15 +286,13 @@ def save_chain(samples: ChainSamples, path, metadata: dict | None = None) -> Non
             buffer = io.BytesIO()
             np.lib.format.write_array_header_1_0(buffer, np.lib.format.header_data_from_array_1_0(array))
             header = buffer.getvalue()
-            data = array.reshape(-1).view(np.uint8)
             # the entry's size is set before it opens, as writestr sets it,
             # so the archive keeps its bytes
             info = zipfile.ZipInfo(f"{name}.npy", date_time=_EPOCH)
-            info.file_size = len(header) + len(data)
+            info.file_size = len(header) + array.nbytes
             with archive.open(info, "w") as entry:
                 entry.write(header)
-                for start in range(0, len(data), DUMP_SLICE):
-                    entry.write(data[start : start + DUMP_SLICE])
+                entry.write(array)
         payload = json.dumps(meta, sort_keys=True).encode("utf-8")
         archive.writestr(zipfile.ZipInfo("meta.json", date_time=_EPOCH), payload)
 

@@ -84,7 +84,6 @@ class ConstrainedCovariance:
     pseudo-inverse used in quadratic forms.
     """
 
-    full: np.ndarray
     projected: np.ndarray
     factor: np.ndarray
     pinv: np.ndarray
@@ -133,7 +132,6 @@ def constrain(sigma: np.ndarray, jitter: float = 1e-10) -> ConstrainedCovariance
     kept_vecs = eigvecs[:, keep]
 
     return ConstrainedCovariance(
-        full=sigma,
         projected=projected,
         factor=kept_vecs * np.sqrt(kept_vals),
         pinv=(kept_vecs / kept_vals) @ kept_vecs.T,

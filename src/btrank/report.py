@@ -47,14 +47,6 @@ class RankingReport:
     def m(self) -> int:
         return len(self.entities)
 
-    def ranks_by_entity(self) -> dict[str, int]:
-        return {name: int(r) for name, r in zip(self.entities, self.rank)}
-
-    def mle_ranks_by_entity(self) -> dict[str, int] | None:
-        if self.mle_rank is None:
-            return None
-        return {name: int(r) for name, r in zip(self.entities, self.mle_rank)}
-
 
 def _check_summary(n_kept: int, level: float) -> None:
     if n_kept < MIN_DRAWS:

@@ -65,7 +65,7 @@ def test_criterion_1_closed_form_mle():
         entities=("strong", "weak"),
         wins=np.array([[0.0, 3.0], [1.0, 0.0]]),
     )
-    merits = mle_newman(w, max_iter=100)  # must converge within 100 sweeps
+    merits = mle_newman(w)  # must converge within bt.NEWTON_MAX_STEPS = 100 steps
     gap = merits[0] - merits[1]
     err = abs(gap - np.log(3.0))
     elapsed = time.perf_counter() - start
@@ -207,7 +207,7 @@ def test_criterion_5_ess_sanity():
     ar_series = lfilter([1.0], [1.0, -rho], rng.standard_normal(n))
     mixed = rng.standard_normal((n, m))
     mixed[:, 0] = ar_series
-    longrun = spectral_longrun(mixed, int(n ** (1.0 / 3.0)))
+    longrun = spectral_longrun(mixed, int(n ** (1.0 / 3.0)))[0]
     target = 3.0 / (1.0 - rho**2)
     ar_err = abs(longrun[0, 0] - target) / target
 
@@ -292,8 +292,9 @@ def _fixture_profile(iterations: int, seed: int):
 
 
 def _rank_sets(ranking):
-    by_rank = sorted(ranking.entities, key=lambda e: ranking.ranks_by_entity()[e])
-    mle_ranks = ranking.mle_ranks_by_entity()
+    ranks = dict(zip(ranking.entities, ranking.rank.tolist()))
+    mle_ranks = dict(zip(ranking.entities, ranking.mle_rank.tolist()))
+    by_rank = sorted(ranking.entities, key=lambda e: ranks[e])
     by_mle = sorted(ranking.entities, key=lambda e: mle_ranks[e])
     return set(by_rank[:3]), set(by_rank[-3:]), set(by_mle[:3]), set(by_mle[-3:])
 

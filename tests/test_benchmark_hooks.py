@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from btrank import trace_export
+from btrank import diagnostics, trace_export
 
 from .conftest import toy_samples
 
@@ -102,3 +102,20 @@ def test_the_harness_reads_of_a_chain_still_work(tracer, tmp_path):
     run.observed["mcmc.run_chain"] = [rewritten]
     counts = tracer._counts(run, tmp_path)
     assert (counts["accepted"], counts["proposed"]) == (6, 120)
+
+
+def test_diagnose_reaches_the_hooked_longrun_once(tracer, monkeypatch):
+    # diagnostics.longrun_s times btrank.diagnostics.spectral_longrun as the
+    # tracer wraps it; a diagnose that stopped looking it up there would read 0
+    assert "spectral_longrun" in tracer.HOOKS["btrank.diagnostics"]
+    draws = np.random.default_rng(5).standard_normal((200, 4))
+    samples = toy_samples(draws - draws.mean(axis=1, keepdims=True))
+    calls, real = [], diagnostics.spectral_longrun
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "spectral_longrun", counted)
+    assert diagnostics.diagnose(samples).ess > 0
+    assert len(calls) == 1

@@ -15,6 +15,7 @@ from btrank import (
     mle_newman,
     win_probability,
 )
+from btrank import bt
 from btrank.bt import NoMleError, _log_likelihood, _pairwise_log_likelihood
 from btrank.sim import simulate_win_matrix
 from btrank.wins import INCIDENCE_MAX_ENTITIES
@@ -262,13 +263,17 @@ def fixed_point_mle(w, tol=1e-14, max_sweeps=100_000):
 class TestNewtonAgainstTheFixedPoint:
     """Newton agrees with the fixed-point oracle and needs few steps.
 
-    Every estimate is asked for with ``max_iter=25``, so a call that needs
-    more Newton steps fails with "did not converge".
+    Every estimate is asked for with the step cap lowered to 25, so a call
+    that needs more Newton steps fails with "did not converge".
     """
+
+    @pytest.fixture(autouse=True)
+    def at_most_25_steps(self, monkeypatch):
+        monkeypatch.setattr(bt, "NEWTON_MAX_STEPS", 25)
 
     @staticmethod
     def check(w):
-        np.testing.assert_allclose(mle_newman(w, max_iter=25), fixed_point_mle(w), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mle_newman(w), fixed_point_mle(w), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("tie_policy", ["split", "drop"])
     def test_bundled_win_matrix(self, fixture_dataset, tie_policy):
@@ -307,7 +312,7 @@ class TestNewtonAgainstTheFixedPoint:
             else:
                 refused += 1
                 with pytest.raises(NoMleError, match="Ford's condition"):
-                    mle_newman(w, max_iter=25)
+                    mle_newman(w)
         assert 0 < refused < 100
 
 
@@ -319,11 +324,12 @@ class TestMleNewman:
         np.testing.assert_allclose(merits[0] - merits[1], np.log(3.0), atol=1e-10)
         np.testing.assert_allclose(merits.sum(), 0.0, atol=1e-12)
 
-    def test_balanced_two_entity_data_converges(self):
+    def test_balanced_two_entity_data_converges(self, monkeypatch):
         # a simultaneous strength update oscillates forever on this input;
         # zero merits are the estimate, where the gradient is already zero
+        monkeypatch.setattr(bt, "NEWTON_MAX_STEPS", 1)
         w = wins_matrix([[0.0, 1.0], [1.0, 0.0]])
-        merits = mle_newman(w, max_iter=1)
+        merits = mle_newman(w)
         np.testing.assert_allclose(merits, [0.0, 0.0], atol=1e-12)
 
     def test_gradient_vanishes_at_the_estimate(self, toy_wins):
@@ -360,23 +366,30 @@ class TestMleNewman:
         with pytest.raises(RuntimeError, match="'e0' beats 'e2' along no chain"):
             mle_newman(wins_matrix(wins))
 
-    def test_a_group_that_never_loses_is_rejected(self):
+    def test_a_group_that_never_loses_is_rejected(self, monkeypatch):
         # {e0, e1} beat {e2, e3} every time and split within each pair, so every
         # entity wins and loses and the comparison graph is connected
+        monkeypatch.setattr(bt, "NEWTON_MAX_STEPS", 1)
         wins = np.zeros((4, 4))
         wins[0, 1] = wins[1, 0] = wins[2, 3] = wins[3, 2] = 1.0
         wins[:2, 2:] = 2.0
         with pytest.raises(RuntimeError, match="'e2' beats 'e0' along no chain"):
-            mle_newman(wins_matrix(wins), max_iter=1)
+            mle_newman(wins_matrix(wins))
 
-    def test_exhausted_iterations_raise(self, toy_wins):
-        with pytest.raises(RuntimeError, match="did not converge"):
-            mle_newman(toy_wins, max_iter=1)
+    def test_exhausted_iterations_raise(self, toy_wins, monkeypatch):
+        monkeypatch.setattr(bt, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge within 1 steps"):
+            mle_newman(toy_wins)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_must_be_positive(self, toy_wins, max_iter):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            mle_newman(toy_wins, max_iter=max_iter)
+    def test_the_bundled_data_needs_seven_steps(self, fixture_dataset, monkeypatch):
+        table, _ = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+        merits = mle_newman(w)
+        monkeypatch.setattr(bt, "NEWTON_MAX_STEPS", 7)
+        assert mle_newman(w).tobytes() == merits.tobytes()
+        monkeypatch.setattr(bt, "NEWTON_MAX_STEPS", 6)
+        with pytest.raises(RuntimeError, match="did not converge within 6 steps"):
+            mle_newman(w)
 
     def test_half_integer_wins_from_split_ties(self):
         table = make_table(m=5, k=40, seed=9)

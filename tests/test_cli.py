@@ -125,7 +125,27 @@ class TestFit:
         assert main(fixture_args(out, *extra)) == 0
         _, metadata = mcmc._read_chain(out / "chain.npz")
         assert metadata["kernel"] == {"kind": "rational_quadratic", "length_scale": 0.3, "mixture": 2.0}
-        assert set(metadata) == {"jitter_applied", "kernel", "entities"}
+        assert set(metadata) == {"jitter_applied", "prior_rank_deficient", "kernel", "entities"}
+
+    @pytest.mark.parametrize("length_scale, deficient", [("0.6", True), ("0.09", False)])
+    def test_a_prior_that_loses_rank_is_warned_and_flagged(
+        self, tmp_path, capsys, length_scale, deficient
+    ):
+        # on the bundled incomes the prior keeps rank 32 = M - 1 at 0.09 and 15 at 0.6
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        short = ("--iterations", "600", "--burn-in", "200", "--length-scale", length_scale)
+        assert main(fixture_args(fit_out, *short)) == 0
+        warning = "warning: the prior has rank 15, below M - 1 = 32, at length scale 0.6"
+        err = capsys.readouterr().err
+        assert (warning in err) is deficient
+        assert ("the prior has rank" in err) is deficient
+        flags = json.loads((fit_out / "diagnostics.json").read_text(encoding="utf-8"))["flags"]
+        assert flags["prior_rank_deficient"] is deficient
+        _, metadata = mcmc._read_chain(fit_out / "chain.npz")
+        assert metadata["prior_rank_deficient"] is deficient
+        # diagnose carries every flag the fit stored
+        assert main(["diagnose", str(fit_out / "chain.npz"), "--out", str(diag_out)]) == 0
+        assert json.loads((diag_out / "diagnostics.json").read_text(encoding="utf-8"))["flags"] == flags
 
     def test_same_seed_reproduces_outputs_byte_for_byte(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -292,6 +312,18 @@ class TestDiagnose:
         assert code == 1
         assert f"corrupt or unreadable chain dump {dump}: " in capsys.readouterr().err
         assert not diag_out.exists()
+
+    def test_a_dump_from_before_the_rank_flag_keeps_its_flags(self, tmp_path):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        dump = fit_out / "chain.npz"
+        _, metadata = mcmc._read_chain(dump)
+        del metadata["prior_rank_deficient"]
+        rewrite_dump(dump, extra=metadata)
+        assert main(["diagnose", str(dump), "--out", str(diag_out)]) == 0
+        flags = json.loads((diag_out / "diagnostics.json").read_text(encoding="utf-8"))["flags"]
+        assert set(flags) == {"eigenvalue_floor_hit", "ess_capped", "jitter_applied"}
+        assert flags["jitter_applied"] is False
 
     def test_reads_the_dump_once(self, tmp_path, monkeypatch):
         fit_out = tmp_path / "fit"

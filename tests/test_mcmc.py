@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 import zipfile
 
@@ -707,12 +708,8 @@ class TestPersistence:
             info = zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0))
             archive.writestr(info, json.dumps(meta, sort_keys=True).encode("utf-8"))
 
-    @pytest.mark.parametrize("dump_slice", [7, 64, 1 << 20])
     @pytest.mark.parametrize("loglik", [True, False])
-    def test_streamed_arrays_give_the_bytes_of_whole_ones(
-        self, tmp_path, toy_wins, toy_prior, monkeypatch, dump_slice, loglik
-    ):
-        monkeypatch.setattr(mcmc, "DUMP_SLICE", dump_slice)
+    def test_streamed_arrays_give_the_bytes_of_whole_ones(self, tmp_path, toy_wins, toy_prior, loglik):
         samples = self.make_samples(toy_wins, toy_prior)
         # a column-major copy is written in row-major order, as write_array writes it
         samples = dataclasses.replace(
@@ -724,6 +721,21 @@ class TestPersistence:
         save_chain(samples, streamed, metadata={"jitter_applied": True})
         self.writestr_dump(samples, whole, metadata={"jitter_applied": True})
         assert streamed.read_bytes() == whole.read_bytes()
+
+    def test_no_array_is_copied(self, tmp_path):
+        # 8.7 MB of merit draws; one copy of them, as writestr makes, would show at once
+        samples = toy_samples(np.random.default_rng(8).standard_normal((33_000, 33)))
+        assert samples.merit_draws.nbytes >= 8 << 20
+        tracemalloc.start()
+        try:
+            save_chain(samples, tmp_path / "chain.npz", metadata={"jitter_applied": False})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        whole = tmp_path / "whole.npz"
+        self.writestr_dump(samples, whole, metadata={"jitter_applied": False})
+        assert (tmp_path / "chain.npz").read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("count", ["accepted", "proposed"])
     @pytest.mark.parametrize("delta", [-1, 1])

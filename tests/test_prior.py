@@ -113,8 +113,9 @@ class TestConstrain:
         income = IncomeTable(
             entities=("a", "b"), income=np.array([5e4, 2e5]), zone=("low", "middle")
         )
-        cov = build_prior(income, KernelSpec("squared_exponential", 0.5))
-        rho = cov.full[0, 1]
+        spec = KernelSpec("squared_exponential", 0.5)
+        cov = build_prior(income, spec)
+        rho = kernel_matrix(log_income_distance(income), spec)[0, 1]
         # the projection of a 2x2 unit-diagonal kernel is (1-rho)/2 * [[1,-1],[-1,1]]
         expected = 0.5 * (1 - rho) * np.array([[1.0, -1.0], [-1.0, 1.0]])
         np.testing.assert_allclose(cov.projected, expected, atol=1e-9)

@@ -71,12 +71,12 @@ class TestSummarize:
     def test_baseline_merits_add_a_second_ranking(self):
         report = summarize(self.samples, self.entities, mle_merits=np.array([0.0, 2.0, 1.0]))
         np.testing.assert_array_equal(report.mle_rank, [3, 1, 2])
-        assert report.mle_ranks_by_entity() == {"up": 3, "down_a": 1, "down_b": 2}
+        by_entity = dict(zip(report.entities, report.mle_rank.tolist()))
+        assert by_entity == {"up": 3, "down_a": 1, "down_b": 2}
 
     def test_no_baseline_means_none(self):
         report = summarize(self.samples, self.entities)
         assert report.mle_rank is None
-        assert report.mle_ranks_by_entity() is None
 
     def test_too_few_draws_is_an_error(self):
         short = toy_samples(np.random.default_rng(1).standard_normal((99, 3)))
@@ -188,7 +188,7 @@ class TestRankingReportValidation:
     def test_accepts_consistent_fields(self):
         report = RankingReport(**self.base_kwargs())
         assert report.m == 2
-        assert report.ranks_by_entity() == {"a": 1, "b": 2}
+        assert dict(zip(report.entities, report.rank.tolist())) == {"a": 1, "b": 2}
 
     def test_rejects_crossed_intervals(self):
         kwargs = self.base_kwargs() | {"ci_low": np.array([2.0, -1.5])}
