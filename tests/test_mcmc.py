@@ -708,8 +708,13 @@ class TestPersistence:
             info = zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0))
             archive.writestr(info, json.dumps(meta, sort_keys=True).encode("utf-8"))
 
+    @pytest.mark.parametrize("buffering", [7, 64, 1 << 20])
     @pytest.mark.parametrize("loglik", [True, False])
-    def test_streamed_arrays_give_the_bytes_of_whole_ones(self, tmp_path, toy_wins, toy_prior, loglik):
+    def test_streamed_arrays_give_the_bytes_of_whole_ones(
+        self, tmp_path, toy_wins, toy_prior, buffering, loglik
+    ):
+        # each array goes to its entry in one write; the destination's buffer,
+        # smaller than a .npy header or larger than the whole dump, changes no byte
         samples = self.make_samples(toy_wins, toy_prior)
         # a column-major copy is written in row-major order, as write_array writes it
         samples = dataclasses.replace(
@@ -718,7 +723,8 @@ class TestPersistence:
             loglik_draws=samples.loglik_draws if loglik else None,
         )
         streamed, whole = tmp_path / "streamed.npz", tmp_path / "whole.npz"
-        save_chain(samples, streamed, metadata={"jitter_applied": True})
+        with open(streamed, "wb", buffering=buffering) as destination:
+            save_chain(samples, destination, metadata={"jitter_applied": True})
         self.writestr_dump(samples, whole, metadata={"jitter_applied": True})
         assert streamed.read_bytes() == whole.read_bytes()
 
