@@ -17,7 +17,7 @@ from .data import (
     subset_by_zone, write_csv, write_json, write_long_csv,
 )
 from .diagnostics import (
-    _check_bandwidth, _check_threshold, _check_window, _resolve_params, diagnose, rank_entities,
+    ESS_MIN_DRAWS, _check_bandwidth, _check_window, _resolve_params, diagnose, rank_entities,
     trace_export, trace_stride,
 )
 from .mcmc import SamplerConfig, _read_chain, run_chain, save_chain
@@ -108,7 +108,6 @@ OPTIONS = (
     Option("seed", int, 0, 0, ("fit", "simulate")),
     Option("fix_variance", _optional(float), None, _UNUSED, ("fit",)),
     Option("rank_adjusted_shape", _parse_bool, False, _UNUSED, ("fit",)),
-    Option("threshold", float, 1e-8, _UNUSED, _DIAGNOSE),
     Option("bandwidth", _optional(int), None, _UNUSED, _DIAGNOSE),
     Option("window", _optional(int), None, _UNUSED, _DIAGNOSE),
     Option("level", float, 0.95, _UNUSED, ("fit",)),
@@ -192,7 +191,8 @@ def _out_dir(options) -> Path:
 
 def _trace_names(options, n_kept: int, m: int, quad_form: bool, loglik: bool) -> list[str]:
     """Check the diagnostics settings against a chain's shape; return the traced names."""
-    _check_threshold(options["threshold"])
+    if n_kept < ESS_MIN_DRAWS:
+        raise ValueError(f"need at least {ESS_MIN_DRAWS} kept draws to diagnose, got {n_kept}")
     _check_bandwidth(options["bandwidth"], n_kept)
     if options["window"] is not None:
         _check_window(options["window"])
@@ -204,7 +204,6 @@ def _trace_names(options, n_kept: int, m: int, quad_form: bool, loglik: bool) ->
 def _write_diagnostics(out: Path, samples, options, extra_flags, names, cov=None):
     report = diagnose(
         samples,
-        threshold=options["threshold"],
         bandwidth=options["bandwidth"],
         window=options["window"],
         extra_flags=extra_flags,
@@ -239,8 +238,8 @@ def cmd_fit(args) -> int:
     cov = build_prior(income, kernel, jitter=options["jitter"])
     config = _from_options(SamplerConfig, options)
     # fail before sampling; a fit has the prior and run_chain records the log-likelihood
-    names = _trace_names(options, config.n_kept, w.m, quad_form=True, loglik=True)
     _check_summary(config.n_kept, options["level"])
+    names = _trace_names(options, config.n_kept, w.m, quad_form=True, loglik=True)
     out = _out_dir(options)
 
     print(
@@ -334,7 +333,9 @@ def cmd_simulate(args) -> int:
 
     for method in ("bayes", "mle"):
         scores = [row["spearman"] for row in rows if row["method"] == method]
-        print(f"  {method}: median spearman {np.nanmedian(scores):.3f} over {len(scores)} cells")
+        # nanmedian warns when no cell has an estimate; the median reads nan either way
+        median = np.nan if np.isnan(scores).all() else np.nanmedian(scores)
+        print(f"  {method}: median spearman {median:.3f} over {len(scores)} cells")
     print(f"outputs written to {out}")
     return 0
 

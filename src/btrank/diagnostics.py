@@ -16,6 +16,9 @@ ESS_CAP_FACTOR = 1.5
 # lags univariate_ess first asks of its autocovariance transform
 ESS_FIRST_LAG = 64
 
+# fewest draws univariate_ess accepts, and so the fewest kept draws diagnose accepts
+ESS_MIN_DRAWS = 4
+
 # window sums per Gram-matrix block in spectral_longrun; at M=33 each
 # (block, M) temporary takes about 1 MB
 LONGRUN_BLOCK = 4096
@@ -50,11 +53,6 @@ def _check_bandwidth(bandwidth: int | None, n: int) -> int:
     if not 1 <= bandwidth <= n:
         raise ValueError(f"bandwidth must lie in [1, {n}], got {bandwidth}")
     return bandwidth
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
 
 
 def _check_window(window: int) -> None:
@@ -131,12 +129,13 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int | None) -> tuple[np.ndarr
     return longrun, floored, sigma
 
 
-def _ess_core(sigma: np.ndarray, longrun: np.ndarray, n: int, threshold: float) -> tuple[float, int]:
+def _ess_core(sigma: np.ndarray, longrun: np.ndarray, n: int) -> tuple[float, int]:
     eigvals, eigvecs = np.linalg.eigh(sigma)
     largest = eigvals[-1]
     if largest <= 0:
         raise ValueError("draws have zero variance in every direction")
-    keep = eigvals > threshold * largest
+    # the numerical rank, at numpy.linalg.matrix_rank's tolerance
+    keep = eigvals > len(sigma) * np.finfo(float).eps * largest
     rank_est = int(keep.sum())
     basis = eigvecs[:, keep]
 
@@ -163,32 +162,30 @@ def _cap_ess(ess: float, n: int) -> tuple[float, bool]:
     return ess, False
 
 
-def _ess(draws, threshold: float, bandwidth: int | None):
+def _ess(draws, bandwidth: int | None):
     """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
-    _check_threshold(threshold)
     draws = _as_draws(draws)
     n = len(draws)
     b = _check_bandwidth(bandwidth, n)
     longrun, floored, sigma = spectral_longrun(draws, b)
-    ess, rank_est = _ess_core(sigma, longrun, n, threshold)
+    ess, rank_est = _ess_core(sigma, longrun, n)
     ess, capped = _cap_ess(ess, n)
     return ess, rank_est, b, floored, capped
 
 
-def multivariate_ess(draws: np.ndarray, threshold: float = 1e-8,
-                     bandwidth: int | None = None) -> tuple[float, int]:
-    """Effective sample size of a vector chain on its non-degenerate subspace.
+def multivariate_ess(draws: np.ndarray, bandwidth: int | None = None) -> tuple[float, int]:
+    """Effective sample size of a vector chain on the subspace its draws span.
 
-    Eigendirections of the sample covariance below ``threshold`` times the
-    largest eigenvalue are treated as exact constraints and excluded.  On the
+    The subspace is the sample covariance's numerical rank: the
+    eigendirections above ``M * eps * largest eigenvalue``, with ``eps`` the
+    float64 machine epsilon, as in ``numpy.linalg.matrix_rank``.  The rest,
+    such as the sum-to-zero direction, are exact constraints.  On the
     retained subspace the estimate is
     ``N * (pdet(sample cov) / pdet(long-run cov)) ** (1 / rank)``.
 
     Parameters
     ----------
     draws : ndarray, shape (N, M)
-    threshold : float
-        Relative eigenvalue cutoff in (0, 1).
     bandwidth : int, optional
         Bartlett window width; defaults to ``floor(N ** (1/3))``.
 
@@ -198,7 +195,7 @@ def multivariate_ess(draws: np.ndarray, threshold: float = 1e-8,
         The estimate is capped at 1.5 N (with a warning) since values beyond
         that exceed what the estimator can resolve.
     """
-    return _ess(draws, threshold, bandwidth)[:2]
+    return _ess(draws, bandwidth)[:2]
 
 
 def _fft_autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -232,8 +229,8 @@ def univariate_ess(x: np.ndarray) -> float:
     the lags held until a nonpositive pair appears or they reach N - 1.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) < 4:
-        raise ValueError("need a 1-D series of at least 4 draws")
+    if x.ndim != 1 or len(x) < ESS_MIN_DRAWS:
+        raise ValueError(f"need a 1-D series of at least {ESS_MIN_DRAWS} draws")
     n, lag = len(x), ESS_FIRST_LAG
     while True:
         max_lag = min(n - 1, (1 << (n + lag - 1).bit_length()) - n)
@@ -410,8 +407,8 @@ class DiagnosticsReport:
             raise ValueError("bandwidth must be at least 1")
 
 
-def diagnose(samples: ChainSamples, threshold: float = 1e-8, bandwidth: int | None = None,
-             window: int | None = None, extra_flags: dict | None = None) -> DiagnosticsReport:
+def diagnose(samples: ChainSamples, bandwidth: int | None = None, window: int | None = None,
+             extra_flags: dict | None = None) -> DiagnosticsReport:
     """Compute the standard diagnostics bundle for one chain.
 
     ``window`` controls the rank-stability stride and defaults to a hundredth
@@ -419,7 +416,7 @@ def diagnose(samples: ChainSamples, threshold: float = 1e-8, bandwidth: int | No
     callers can carry provenance such as whether prior jitter was applied.
     """
     draws = samples.merit_draws
-    ess, rank_est, b, floored, capped = _ess(draws, threshold, bandwidth)
+    ess, rank_est, b, floored, capped = _ess(draws, bandwidth)
 
     per_param = np.array([univariate_ess(draws[:, j]) for j in range(samples.m)])
     window = max(1, samples.n_kept // 100) if window is None else window

@@ -199,7 +199,7 @@ def test_criterion_5_ess_sanity():
     sigma = np.exp(-(((idx[:, None] - idx[None, :]) / 2.0) ** 2))
     cov = constrain(sigma)
     constrained = rng.standard_normal((n, cov.rank)) @ cov.factor.T
-    _, rank_constrained = multivariate_ess(constrained, threshold=1e-8)
+    _, rank_constrained = multivariate_ess(constrained)
 
     # AR(1) at rho = 0.5 has marginal variance 4/3 and long-run variance
     # 3 times that, so the windowed estimate should land near 4.0

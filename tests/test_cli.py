@@ -5,27 +5,29 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import shutil
 import subprocess
 import sys
 import sysconfig
 import tracemalloc
+import warnings
 from importlib.metadata import EntryPoint
 
 import numpy as np
 import pytest
 
 from btrank import (
-    KernelSpec, build_prior, build_win_matrix, diagnostics, load_chain, mcmc, mle_newman,
-    save_chain, summarize, trace_export,
+    KernelSpec, SamplerConfig, SimStudySpec, build_prior, build_win_matrix, constrain, diagnose,
+    diagnostics, load_chain, mcmc, mle_newman, run_chain, save_chain, summarize, trace_export,
 )
 from btrank.bt import NoMleError
 from btrank.cli import (
-    _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main,
+    OPTIONS, _kernel_spec, _load_tables, _merged_options, _write_diagnostics, build_parser, main,
     read_config_file,
 )
-from btrank.diagnostics import default_bandwidth
+from btrank.diagnostics import ESS_MIN_DRAWS, default_bandwidth
 
 from .conftest import DATA_DIR, csv_floats, make_income, rewrite_dump, toy_samples
 
@@ -349,6 +351,30 @@ class TestDiagnose:
         assert "unknown trace parameter 'bogus'" in capsys.readouterr().err
         assert not diag_out.exists()
 
+    @pytest.mark.parametrize("kept", [ESS_MIN_DRAWS - 1, ESS_MIN_DRAWS + 1])
+    def test_too_few_kept_draws_write_nothing(self, tmp_path, capsys, toy_wins, toy_prior, kept):
+        dump, diag_out = tmp_path / "chain.npz", tmp_path / "diag"
+        save_chain(run_chain(toy_wins, toy_prior, SamplerConfig(0.3, kept + 2, burn_in=2)), dump)
+        code = main(["diagnose", str(dump), "--out", str(diag_out)])
+        if kept < ESS_MIN_DRAWS:
+            assert code == 1
+            assert f"need at least 4 kept draws to diagnose, got {kept}" in capsys.readouterr().err
+            assert not diag_out.exists()
+        else:
+            assert code == 0
+            assert (diag_out / "diagnostics.json").exists()
+
+    def test_the_threshold_option_is_gone(self, tmp_path, capsys):
+        config, out = tmp_path / "old.cfg", tmp_path / "diag"
+        config.write_text("threshold = 1e-8\n", encoding="utf-8")
+        dump = str(tmp_path / "chain.npz")
+        assert main(["diagnose", dump, "--out", str(out), "--threshold", "1e-8"]) == 1
+        assert main(["diagnose", dump, "--out", str(out), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threshold 1e-8" in err
+        assert f"{config}:1: unknown configuration key 'threshold'" in err
+        assert not out.exists()
+
     def test_missing_dump_maps_to_the_io_exit_code(self, tmp_path, capsys):
         code = main(["diagnose", str(tmp_path / "absent.npz"), "--out", str(tmp_path)])
         assert code == 3
@@ -370,7 +396,7 @@ class TestDiagnose:
         # 2,000, or 525 B per extra draw, set by diagnose; the trace column
         # and its CSV rows peak at 304 B.  Building one row tuple per draw and
         # parameter took 34.8 MB against 8.7 MB, or 4,356 B per draw.
-        options = {"threshold": 1e-8, "bandwidth": None, "window": None, "trace_params": "all"}
+        options = {"bandwidth": None, "window": None, "trace_params": "all"}
         rng = np.random.default_rng(21)
         peaks = {}
         for n in (2_000, 8_000):
@@ -419,7 +445,7 @@ class TestTraceStride:
             loglik_draws=rng.standard_normal(n),
         )
         cov = build_prior(make_income(m), KernelSpec("squared_exponential", 0.5))
-        options = {"threshold": 1e-8, "bandwidth": None, "window": 1, "trace_params": "all"}
+        options = {"bandwidth": None, "window": 1, "trace_params": "all"}
         names = [f"merit{i}" for i in range(m)] + ["variance", "quad_form", "loglik"]
         full, capped = tmp_path / "full", tmp_path / "capped"
         for out in (full, capped):
@@ -464,6 +490,16 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "bayes: median spearman" in stdout
         assert "mle: median spearman" in stdout
+
+    def test_a_method_with_no_estimate_prints_nan_without_a_warning(self, tmp_path, capsys):
+        # one contest per pair among 3 entities: no replication has a likelihood estimate
+        spec = tmp_path / "study.conf"
+        spec.write_text("m = 3\nk_comparisons = 1\nreplications = 2\nseed = 1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", str(spec), "--iterations", "300", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "  mle: median spearman nan over 2 cells\n" in capsys.readouterr().out
 
 
 class TestFailureModes:
@@ -513,7 +549,7 @@ class TestFailureModes:
         "flags, message",
         [
             (("--level", "1.5"), "level must lie strictly between 0 and 1"),
-            (("--threshold", "2"), "threshold must lie strictly between 0 and 1"),
+            (("--threshold", "1e-8"), "unrecognized arguments: --threshold 1e-8"),
             (("--thin", "30000"), "need at least 100 kept draws, got 67"),
             (("--window", "0"), "window must be at least 1"),
             (("--bandwidth", "2000001"), "bandwidth must lie in [1, 2000000], got 2000001"),
@@ -605,11 +641,11 @@ FLAGS = {
     "fit": LOAD_FLAGS | {
         "--kernel", "--length-scale", "--mixture", "--jitter", "--beta", "--iterations",
         "--burn-in", "--thin", "--prior-shape", "--prior-scale", "--seed", "--fix-variance",
-        "--rank-adjusted-shape", "--threshold", "--bandwidth", "--window", "--level",
+        "--rank-adjusted-shape", "--bandwidth", "--window", "--level",
         "--trace-params", "--export-win-matrix",
     },
     "mle": LOAD_FLAGS,
-    "diagnose": {"--config", "--out", "--threshold", "--bandwidth", "--window", "--trace-params"},
+    "diagnose": {"--config", "--out", "--bandwidth", "--window", "--trace-params"},
     "simulate": {"--seed", "--iterations", "--beta", "--out"},
 }
 RUN_DEFAULTS = {
@@ -636,7 +672,6 @@ RUN_DEFAULTS = {
     "seed": 0,
     "fix_variance": None,
     "rank_adjusted_shape": False,
-    "threshold": 1e-8,
     "bandwidth": None,
     "window": None,
     "level": 0.95,
@@ -704,6 +739,40 @@ class TestSurface:
             foreign.write_text(f"{key} = 1\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"unknown configuration key '{key}'"):
                 _merged_options(args, family, foreign)
+
+
+class TestLibraryDefaults:
+    def test_the_option_table_repeats_the_library_defaults(self):
+        sampler = {field.name: field.default for field in dataclasses.fields(SamplerConfig)}
+        study = {field.name: field.default for field in dataclasses.fields(SimStudySpec)}
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        sampled = ("burn_in", "thin", "prior_shape", "prior_scale", "seed")
+        library = {
+            "run": {
+                **{key: sampler[key] for key in (*sampled, "fix_variance", "rank_adjusted_shape")},
+                "bandwidth": default(diagnose, "bandwidth"),
+                "window": default(diagnose, "window"),
+                "level": default(summarize, "level"),
+                "jitter": default(build_prior, "jitter"),
+                "tie_policy": default(build_win_matrix, "tie_policy"),
+                "trace_params": default(trace_export, "params"),
+            },
+            "sim": {
+                **{key: sampler[key] for key in sampled},
+                **{key: study[key] for key in ("m", "k_comparisons", "prior_variance", "replications")},
+                "length_scales": (SimStudySpec().kernel.length_scale,),
+            },
+        }
+        table = {opt.key: opt for opt in OPTIONS}
+        for family, defaults in library.items():
+            for key, value in defaults.items():
+                assert getattr(table[key], family) == value, (family, key)
+        # the sim family's seed seeds both the study and its chains
+        assert table["seed"].sim == study["seed"]
+        assert default(constrain, "jitter") == table["jitter"].run
 
 
 class TestEntryPoints:

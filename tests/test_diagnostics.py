@@ -241,14 +241,36 @@ class TestMultivariateEss:
     def test_validates_inputs(self):
         with pytest.raises(ValueError, match="2-D"):
             multivariate_ess(np.zeros(50))
-        with pytest.raises(ValueError, match="threshold"):
-            multivariate_ess(np.zeros((50, 2)), threshold=1.0)
+
+    def test_the_subspace_is_the_numerical_rank(self):
+        # at M = 3 the tolerance is 3 eps = 6.7e-16 of the largest eigenvalue:
+        # a direction with 1e-14 of it is sampled, one with 1e-32 is not
+        rng = np.random.default_rng(12)
+        draws = rng.standard_normal((10_000, 3))
+        draws[:, 2] *= 1e-7
+        assert multivariate_ess(draws)[1] == 3
+        draws[:, 2] *= 1e-9
+        assert multivariate_ess(draws)[1] == 2
+
+    @pytest.mark.parametrize("iterations", [600, 3_000])
+    @pytest.mark.parametrize("length_scale", [0.2, 0.6, 1.0])
+    def test_a_fit_keeps_every_direction_of_its_prior(self, fixture_dataset, length_scale, iterations):
+        # the prior has rank 32, 15 and 11 here; its smallest sampled
+        # direction keeps at least 2.7e-14 of the largest eigenvalue, about
+        # 4 times the tolerance at M = 33, and the sum-to-zero direction
+        # at most 2.1e-16
+        table, income = fixture_dataset
+        w = build_win_matrix(apply_missing_policy(table, "drop_indicators"))
+        cov = build_prior(income, KernelSpec("squared_exponential", length_scale))
+        for seed in (0, 1):
+            samples = run_chain(w, cov, SamplerConfig(beta=0.009, iterations=iterations, seed=seed))
+            assert multivariate_ess(samples.merit_draws)[1] == cov.rank
 
     def test_singular_longrun_on_retained_subspace_is_an_error(self):
         # a long-run covariance with a zero eigenvalue inside the retained
         # subspace cannot support the determinant ratio
         with pytest.raises(RuntimeError, match="singular on the retained subspace"):
-            _ess_core(np.eye(2), np.diag([1.0, 0.0]), 100, 1e-8)
+            _ess_core(np.eye(2), np.diag([1.0, 0.0]), 100)
 
 
 class TestUnivariateEss:
@@ -534,10 +556,6 @@ class TestDiagnose:
             "per_param_ess": report.per_param_ess.tolist(),
             "kendall_series": [list(point) for point in report.kendall_series],
         }
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            diagnose(self.samples, threshold=2.0)
 
     def test_zero_window_is_rejected_not_defaulted(self):
         with pytest.raises(ValueError, match="window"):
