@@ -52,9 +52,8 @@ def runs(data: Path, work: Path) -> list[tuple[str, list[str]]]:
                          "--fix-variance", "0.3", "--beta", "0.05",
                          "--iterations", "3000", "--seed", "5"]),
         # a thin above mcmc.BLOCK leaves some blocks without a kept draw
-        ("fit_rank_adjusted", ["fit", *inputs, "--rank-adjusted-shape", "true",
-                               "--iterations", "120000", "--burn-in", "1500",
-                               "--thin", "1100", "--seed", "9"]),
+        ("fit_wide_thin", ["fit", *inputs, "--iterations", "120000", "--burn-in", "1500",
+                           "--thin", "1100", "--seed", "9"]),
         # the only exported win matrix whose contest counts leave ties out
         ("fit_tie_drop", ["fit", *inputs, "--tie-policy", "drop", "--export-win-matrix",
                           "--iterations", "3000", "--seed", "4"]),

@@ -107,7 +107,6 @@ OPTIONS = (
     Option("prior_scale", float, 1.0, 1.0, ("fit",)),
     Option("seed", int, 0, 0, ("fit", "simulate")),
     Option("fix_variance", _optional(float), None, _UNUSED, ("fit",)),
-    Option("rank_adjusted_shape", _parse_bool, False, _UNUSED, ("fit",)),
     Option("bandwidth", _optional(int), None, _UNUSED, _DIAGNOSE),
     Option("window", _optional(int), None, _UNUSED, _DIAGNOSE),
     Option("level", float, 0.95, _UNUSED, ("fit",)),

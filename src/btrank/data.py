@@ -194,6 +194,9 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
             parsed = _parse_number(cell)
             if parsed is None:
                 missing[i, j] = True
+            elif not -np.inf < parsed < np.inf:
+                raise ValueError(f"{path}: indicator {indicators[j]!r} for {entities[i]!r} "
+                                 f"must be finite, got {cell!r}")
             else:
                 values[i, j] = parsed
 
@@ -245,8 +248,8 @@ def load_income(path, *, low_max: float = LOW_INCOME_MAX, middle_max: float = MI
             raise ValueError(f"{path}: malformed row {row!r}")
         name = row[0].strip()
         value = _parse_number(row[1])
-        if value is None or value <= 0:
-            raise ValueError(f"{path}: income for {name!r} must be a positive number, got {row[1]!r}")
+        if value is None or not 0 < value < np.inf:
+            raise ValueError(f"{path}: income for {name!r} must be a finite positive number, got {row[1]!r}")
         label = row[2].strip().lower() if has_zone and len(row) > 2 else ""
         if not label:
             label = zone_for_income(value, low_max, middle_max)

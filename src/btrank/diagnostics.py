@@ -266,8 +266,7 @@ def kendall_tau_distance(rank_a, rank_b) -> int:
     identical orderings; the maximum is M (M - 1) / 2 for full reversal.
     The count is the inversions of ``rank_b`` read in ``rank_a``'s order.
     """
-    a = np.asarray(rank_a)
-    b = np.asarray(rank_b)
+    a, b = np.asarray(rank_a), np.asarray(rank_b)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("rankings must be 1-D arrays of equal length")
     if len(np.unique(a)) != len(a) or not np.array_equal(np.sort(a), np.sort(b)):
@@ -374,8 +373,7 @@ def trace_export(samples: ChainSamples, params="all", cov: ConstrainedCovariance
         else:
             series[name] = samples.loglik_draws
 
-    b = _check_bandwidth(bandwidth, n)
-    max_lag = min(b, n - 1)
+    max_lag = min(_check_bandwidth(bandwidth, n), n - 1)
     stride = trace_stride(n)
     # stacked then flattened, so an empty ``names`` gives empty columns
     trace = np.array([series[name][::stride] for name in names]).ravel()
@@ -421,9 +419,7 @@ def diagnose(samples: ChainSamples, bandwidth: int | None = None, window: int | 
     per_param = np.array([univariate_ess(draws[:, j]) for j in range(samples.m)])
     window = max(1, samples.n_kept // 100) if window is None else window
     series = rank_stability_series(samples, window)
-    flags = {"eigenvalue_floor_hit": floored, "ess_capped": capped}
-    if extra_flags:
-        flags.update(extra_flags)
+    flags = {"eigenvalue_floor_hit": floored, "ess_capped": capped, **(extra_flags or {})}
 
     return DiagnosticsReport(
         ess=ess,

@@ -33,8 +33,6 @@ class SamplerConfig:
     ``burn_in`` defaults to a third of ``iterations``.  ``fix_variance`` pins
     the prior variance instead of Gibbs-sampling it, which turns the sampler
     into plain preconditioned Crank-Nicolson at that variance.
-    ``rank_adjusted_shape`` bases the Gibbs shape on the constraint rank
-    (M - 1) rather than the nominal dimension M.
     """
 
     beta: float
@@ -45,7 +43,6 @@ class SamplerConfig:
     prior_scale: float = 1.0
     seed: int = 0
     fix_variance: float | None = None
-    rank_adjusted_shape: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
@@ -62,6 +59,8 @@ class SamplerConfig:
             raise ValueError("prior_shape and prior_scale must be positive and finite")
         if self.fix_variance is not None and not 0 < self.fix_variance < math.inf:
             raise ValueError("fix_variance must be positive and finite when given")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_kept(self) -> int:
@@ -115,20 +114,18 @@ class ChainSamples:
 
 
 def gibbs_variance(merits: np.ndarray, cov: ConstrainedCovariance, prior_shape: float,
-                   prior_scale: float, rng: np.random.Generator,
-                   rank_adjusted: bool = False) -> float:
+                   prior_scale: float, rng: np.random.Generator) -> float:
     """Draw the prior variance from its inverse-gamma full conditional.
 
     The conditional has shape ``prior_shape + M/2`` and scale
-    ``prior_scale + merits' pinv merits``.  With ``rank_adjusted`` the shape
-    uses the constraint rank instead of M.
+    ``prior_scale + merits' pinv merits``.
     """
     scale = prior_scale + float(merits @ cov.pinv @ merits)
-    return scale / rng.gamma(_gibbs_shape(prior_shape, cov, len(merits), rank_adjusted))
+    return scale / rng.gamma(_gibbs_shape(prior_shape, len(merits)))
 
 
-def _gibbs_shape(prior_shape: float, cov: ConstrainedCovariance, m: int, rank_adjusted: bool) -> float:
-    return prior_shape + 0.5 * (cov.rank if rank_adjusted else m)
+def _gibbs_shape(prior_shape: float, m: int) -> float:
+    return prior_shape + 0.5 * m
 
 
 # a compared pair whose strengths both underflow takes log(0) before the fallback
@@ -177,7 +174,7 @@ def run_chain(w: WinMatrix, cov: ConstrainedCovariance, config: SamplerConfig) -
     rng = np.random.default_rng(config.seed)
     contraction = math.sqrt(1.0 - config.beta**2)
     pinned, thin, m = config.fix_variance, config.thin, w.m
-    shape = _gibbs_shape(config.prior_shape, cov, m, config.rank_adjusted_shape)
+    shape = _gibbs_shape(config.prior_shape, m)
     pairs, lift = w.pairs, np.hstack([cov.factor.T, np.eye(cov.rank)])
 
     # the state and what each proposal takes from it change only on acceptance
@@ -304,8 +301,8 @@ def load_chain(path) -> ChainSamples:
     ``loglik_draws`` entry loads with ``loglik_draws=None``.  The acceptance
     counts are those of ``accept_flags``; older dumps' ``meta.json`` repeats
     them, and a repeated count that differs makes the dump corrupt, as do
-    arrays whose lengths the stored sampler settings contradict.  A
-    ``kernel`` key in the stored settings, which older dumps hold, is ignored.
+    arrays whose lengths the stored sampler settings contradict.  Settings
+    that older dumps store and the sampler has retired are ignored.
     """
     return _read_chain(path)[0]
 
@@ -318,12 +315,15 @@ def _read_chain(path) -> tuple[ChainSamples, dict]:
         with np.load(path) as archive:
             meta = json.loads(archive["meta.json"])
             arrays = {name: archive[name] for name in archive.files if name != "meta.json"}
+        if not isinstance(meta, dict) or not all(isinstance(meta.get(k, {}), dict) for k in ("config", "extra")):
+            raise ValueError("meta.json must be an object whose config and extra are objects")
         flags = arrays["accept_flags"]
         if meta.get("proposed", len(flags)) != len(flags):
             raise ValueError("proposed must equal the number of accept_flags")
+        retired = ("kernel", "rank_adjusted_shape")
         return ChainSamples(
             accepted=int(meta.get("accepted", flags.sum())),
-            config=SamplerConfig(**{k: v for k, v in meta["config"].items() if k != "kernel"}),
+            config=SamplerConfig(**{k: v for k, v in meta["config"].items() if k not in retired}),
             **arrays,
         ), meta.get("extra", {})
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:

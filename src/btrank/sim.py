@@ -44,6 +44,8 @@ class SimStudySpec:
             raise ValueError("prior_variance must be positive and finite")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.length_scales:
             object.__setattr__(self, "length_scales", (self.kernel.length_scale,))
         for scale in self.length_scales:

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import IndicatorTable, write_csv
+from .data import IndicatorTable, _check_unique, write_csv
 
 TIE_POLICIES = ("split", "drop")
 
@@ -49,8 +49,7 @@ class WinMatrix:
         m = len(self.entities)
         if m < 2:
             raise ValueError(f"need at least 2 entities, got {m}")
-        if len(set(self.entities)) != m:
-            raise ValueError("duplicate entity names")
+        _check_unique("entity", self.entities)
         if self.wins.shape != (m, m):
             raise ValueError(f"wins must have shape {(m, m)}")
         if np.diagonal(self.wins).any():

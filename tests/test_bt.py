@@ -298,6 +298,28 @@ class TestNewtonAgainstTheFixedPoint:
                 [4788347.0, 784654.0, 0.0, 0.0], [4.0, 0.0, 1245.0, 0.0]]
         self.check(wins_matrix(wins))
 
+    def test_sparse_lopsided_wins_halve_the_step(self, monkeypatch):
+        # full steps overshoot on this design: it took 11 Newton steps and 3 halvings
+        wins = [[0, 2, 1, 2, 0, 1], [0, 0, 10, 0, 0, 0], [0, 20, 0, 2, 2000, 0],
+                [0, 0, 1, 0, 0, 0], [1000, 0, 0, 0, 0, 0], [0, 0, 20, 20, 0, 0]]
+        calls = {"loglik": 0, "solve": 0}
+
+        def counted(name, func):
+            def inner(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return inner
+
+        w = wins_matrix(wins)
+        with monkeypatch.context() as counting:
+            counting.setattr(bt, "_log_likelihood", counted("loglik", bt._log_likelihood))
+            counting.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+            mle_newman(w)
+        # one evaluation at zero merits, one per step but the last, one per halving
+        halvings = calls["loglik"] - 1 - (calls["solve"] - 1)
+        assert halvings >= 1
+        self.check(w)
+
     def test_simulated_designs(self):
         # 200 designs on 10 entities with 1 to 200 contests per pair, log-uniform
         # so that some single-contest designs fail Ford's condition

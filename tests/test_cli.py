@@ -13,6 +13,7 @@ import sys
 import sysconfig
 import tracemalloc
 import warnings
+import zipfile
 from importlib.metadata import EntryPoint
 
 import numpy as np
@@ -176,6 +177,21 @@ class TestFit:
         assert samples.config.iterations == 900  # flag beats config
         assert samples.config.beta == 0.05  # config beats default
         assert samples.config.seed == 3
+
+    @pytest.mark.parametrize("raw, written", [("yes", True), ("Off", False)])
+    def test_a_config_file_sets_a_switch_by_word(self, tmp_path, raw, written):
+        config, out = tmp_path / "fit.cfg", tmp_path / "run"
+        config.write_text(f"export_win_matrix = {raw}\n", encoding="utf-8")
+        assert main(fixture_args(out, "--config", str(config))) == 0
+        assert (out / "win_matrix.csv").exists() is written
+
+    def test_a_switch_that_is_not_a_boolean_names_its_line(self, tmp_path, capsys):
+        config, out = tmp_path / "fit.cfg", tmp_path / "run"
+        config.write_text("seed = 2\nexport_win_matrix = maybe\n", encoding="utf-8")
+        assert main(fixture_args(out, "--config", str(config))) == 1
+        err = capsys.readouterr().err
+        assert f"{config}:2: bad value for 'export_win_matrix': expected a boolean, got 'maybe'" in err
+        assert not out.exists()
 
     def test_a_byte_order_mark_is_ignored(self, tmp_path):
         config = tmp_path / "fit.conf"
@@ -423,6 +439,53 @@ class TestDiagnose:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("meta", [[], {"config": "beta = 0.05"}, {"extra": []}])
+    def test_meta_json_of_another_shape_is_corrupt(self, tmp_path, capsys, meta):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        dump = fit_out / "chain.npz"
+        with zipfile.ZipFile(dump) as archive:
+            stored = json.loads(archive.read("meta.json"))
+        rewrite_dump(dump, drop=("meta.json",))
+        with zipfile.ZipFile(dump, "a") as archive:
+            archive.writestr("meta.json", json.dumps(meta if isinstance(meta, list) else {**stored, **meta}))
+        code = main(["diagnose", str(dump), "--out", str(diag_out)])
+        assert code == 1
+        assert f"corrupt or unreadable chain dump {dump}: meta.json must be an object" in (
+            capsys.readouterr().err
+        )
+        assert not diag_out.exists()
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_a_dump_that_stores_the_retired_shape_setting_loads(self, tmp_path, stored):
+        # dumps written before the Gibbs shape lost its rank-adjusted variant store the key
+        fit_out = tmp_path / "fit"
+        assert main(fixture_args(fit_out)) == 0
+        dump, old = fit_out / "chain.npz", tmp_path / "old.npz"
+        settings = dataclasses.asdict(load_chain(dump).config)
+        shutil.copy(dump, old)
+        rewrite_dump(old, config={**settings, "rank_adjusted_shape": stored})
+        assert load_chain(old).config == load_chain(dump).config
+        for chain, out in ((dump, tmp_path / "new_diag"), (old, tmp_path / "old_diag")):
+            assert main(["diagnose", str(chain), "--out", str(out)]) == 0
+        for name in ("diagnostics.json", "traces.csv", "acf.csv"):
+            assert (tmp_path / "old_diag" / name).read_bytes() == (
+                tmp_path / "new_diag" / name
+            ).read_bytes(), name
+
+    def test_another_unknown_setting_in_a_dump_is_corrupt(self, tmp_path, capsys):
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert main(fixture_args(fit_out)) == 0
+        dump = fit_out / "chain.npz"
+        settings = dataclasses.asdict(load_chain(dump).config)
+        rewrite_dump(dump, config={**settings, "variance_step": "coherent"})
+        code = main(["diagnose", str(dump), "--out", str(diag_out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"corrupt or unreadable chain dump {dump}: " in err
+        assert "variance_step" in err
+        assert not diag_out.exists()
+
     def test_corrupt_dump_maps_to_the_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"not a chain dump")
@@ -570,6 +633,49 @@ class TestFailureModes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_negative_seed_is_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(fixture_args(out, "--seed", "-1")) == 1
+        spec = tmp_path / "study.cfg"
+        spec.write_text("m = 4\nseed = -1\n", encoding="utf-8")
+        assert main(["simulate", str(spec), "--iterations", "300", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: seed must be non-negative, got -1") == 2
+        assert not out.exists()
+
+    def test_the_rank_adjusted_shape_option_is_gone(self, tmp_path, capsys):
+        config, out = tmp_path / "old.cfg", tmp_path / "out"
+        config.write_text("rank_adjusted_shape = false\n", encoding="utf-8")
+        assert main(fixture_args(out, "--rank-adjusted-shape", "true")) == 1
+        assert main(fixture_args(out, "--config", str(config))) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --rank-adjusted-shape true" in err
+        assert f"{config}:1: unknown configuration key 'rank_adjusted_shape'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table, message", [
+        ("indicators", "indicator '{indicator}' for '{entity}' must be finite, got 'nan'"),
+        ("income", "income for '{entity}' must be a finite positive number, got 'inf'"),
+    ])
+    def test_a_non_finite_input_value_names_its_place(self, tmp_path, capsys, table, message):
+        # the first entity's first indicator, or its income, replaced in a copy of the data
+        lines = (DATA_DIR / f"{table}.csv").read_text(encoding="utf-8").splitlines()
+        indicator = lines[0].split(",")[1]
+        entity, *cells = lines[1].split(",")
+        cells[0] = "nan" if table == "indicators" else "inf"
+        lines[1] = ",".join([entity, *cells])
+        bad = tmp_path / f"{table}.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        inputs = {name: str(DATA_DIR / f"{name}.csv") for name in ("indicators", "polarity", "income")}
+        inputs[table] = str(bad)
+        argv = ["mle", *(arg for name, path in inputs.items() for arg in (f"--{name}", path))]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        expected = f"error: {bad}: " + message.format(indicator=indicator, entity=entity)
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_makes_its_output_directory_before_sampling(self, tmp_path, capsys, monkeypatch):
         def sample(*args):
             raise AssertionError("the chain was run before the output directory was made")
@@ -641,8 +747,7 @@ FLAGS = {
     "fit": LOAD_FLAGS | {
         "--kernel", "--length-scale", "--mixture", "--jitter", "--beta", "--iterations",
         "--burn-in", "--thin", "--prior-shape", "--prior-scale", "--seed", "--fix-variance",
-        "--rank-adjusted-shape", "--bandwidth", "--window", "--level",
-        "--trace-params", "--export-win-matrix",
+        "--bandwidth", "--window", "--level", "--trace-params", "--export-win-matrix",
     },
     "mle": LOAD_FLAGS,
     "diagnose": {"--config", "--out", "--bandwidth", "--window", "--trace-params"},
@@ -671,7 +776,6 @@ RUN_DEFAULTS = {
     "prior_scale": 1.0,
     "seed": 0,
     "fix_variance": None,
-    "rank_adjusted_shape": False,
     "bandwidth": None,
     "window": None,
     "level": 0.95,
@@ -752,7 +856,7 @@ class TestLibraryDefaults:
         sampled = ("burn_in", "thin", "prior_shape", "prior_scale", "seed")
         library = {
             "run": {
-                **{key: sampler[key] for key in (*sampled, "fix_variance", "rank_adjusted_shape")},
+                **{key: sampler[key] for key in (*sampled, "fix_variance")},
                 "bandwidth": default(diagnose, "bandwidth"),
                 "window": default(diagnose, "window"),
                 "level": default(summarize, "level"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -71,6 +72,11 @@ class TestLoadPolarity:
         with pytest.raises(ValueError, match="duplicate"):
             load_polarity(path)
 
+    def test_rejects_a_row_of_one_cell(self, tmp_path):
+        path = write(tmp_path / "p.csv", "indicator,polarity\na,1\nb\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed row ['b']")):
+            load_polarity(path)
+
 
 class TestLoadIndicators:
     def test_round_trip_with_missing_cells(self, tmp_path):
@@ -107,6 +113,27 @@ class TestLoadIndicators:
         with pytest.raises(ValueError, match="duplicate entity"):
             load_indicators(ind, pol)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_a_non_finite_value_is_refused_where_it_is(self, tmp_path, cell):
+        # a value that parses as non-finite is an error, not a missing cell
+        ind = write(tmp_path / "i.csv", f"entity,a,b\nx,1,2\ny,3,{cell}\n")
+        pol = write(tmp_path / "p.csv", "indicator,polarity\na,1\nb,1\n")
+        message = f"{ind}: indicator 'b' for 'y' must be finite, got '{cell}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_indicators(ind, pol)
+
+    def test_a_header_without_an_indicator_is_refused(self, tmp_path):
+        ind = write(tmp_path / "i.csv", "entity\nx\ny\n")
+        pol = write(tmp_path / "p.csv", "indicator,polarity\na,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{ind}: need an entity column plus at least one")):
+            load_indicators(ind, pol)
+
+    def test_an_empty_file_is_refused(self, tmp_path):
+        ind = write(tmp_path / "i.csv", "\n , \n")
+        pol = write(tmp_path / "p.csv", "indicator,polarity\na,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{ind}: file is empty")):
+            load_indicators(ind, pol)
+
 
 class TestZones:
     def test_boundaries_are_inclusive_on_the_low_side(self):
@@ -134,6 +161,28 @@ class TestZones:
     def test_load_income_rejects_nonpositive(self, tmp_path):
         path = write(tmp_path / "inc.csv", "entity,income\nx,-5\n")
         with pytest.raises(ValueError, match="positive"):
+            load_income(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+    def test_load_income_rejects_non_finite_by_entity(self, tmp_path, cell):
+        path = write(tmp_path / "inc.csv", f"entity,income\nx,90000\ny,{cell}\n")
+        message = f"{path}: income for 'y' must be a finite positive number, got '{cell}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_income(path)
+
+    def test_load_income_rejects_a_wrong_header(self, tmp_path):
+        path = write(tmp_path / "inc.csv", "name,income\nx,90000\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected header 'entity,income[,zone]'")):
+            load_income(path)
+
+    def test_load_income_rejects_a_row_of_one_cell(self, tmp_path):
+        path = write(tmp_path / "inc.csv", "entity,income\nx,90000\ny\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed row ['y']")):
+            load_income(path)
+
+    def test_load_income_rejects_an_unknown_zone_label(self, tmp_path):
+        path = write(tmp_path / "inc.csv", "entity,income,zone\nx,90000,low\ny,150000,mid\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown zone 'mid' for 'y'")):
             load_income(path)
 
     def test_load_income_rejects_bad_thresholds(self, tmp_path):
@@ -207,6 +256,11 @@ class TestMissingPolicy:
             apply_missing_policy(table, "interpolate")
         with pytest.raises(ValueError, match="unknown entities"):
             apply_missing_policy(table, "drop_entities", drop=("ghost",))
+
+    def test_a_drop_list_that_leaves_one_entity_is_an_error(self):
+        table = make_table(m=3)
+        with pytest.raises(ValueError, match="leaves fewer than 2"):
+            apply_missing_policy(table, "drop_entities", drop=("ent00", "ent02"))
 
     def test_all_columns_incomplete_is_an_error(self):
         table = make_table(m=2, k=2, missing_cells=[(0, 0), (1, 1)])

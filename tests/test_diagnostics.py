@@ -96,6 +96,11 @@ class TestDefaultBandwidth:
         assert default_bandwidth(999) == 9
         assert default_bandwidth(27_000) == 30
 
+    def test_exact_at_a_cube_beyond_float_precision(self):
+        # both convert to the float 2**60, whose float cube root lies just below 2**20
+        assert default_bandwidth(2**60 - 1) == 2**20 - 1
+        assert default_bandwidth(2**60) == 2**20
+
     def test_never_below_one(self):
         assert default_bandwidth(1) == 1
         assert default_bandwidth(7) == 1

@@ -63,7 +63,7 @@ def one_at_a_time(w: WinMatrix, cov, config: SamplerConfig) -> dict[str, np.ndar
     rng = np.random.default_rng(config.seed)
     contraction = math.sqrt(1.0 - config.beta**2)
     fixed = config.fix_variance is not None
-    shape = mcmc._gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
+    shape = mcmc._gibbs_shape(config.prior_shape, w.m)
     lift = np.hstack([cov.factor.T, np.eye(cov.rank)])
     state = np.zeros(w.m + cov.rank)
     scale = config.fix_variance if fixed else config.prior_scale
@@ -103,7 +103,7 @@ def u_space_chain(w: WinMatrix, cov, config: SamplerConfig) -> dict[str, np.ndar
     rng = np.random.default_rng(config.seed)
     contraction = math.sqrt(1.0 - config.beta**2)
     fixed = config.fix_variance is not None
-    shape = mcmc._gibbs_shape(config.prior_shape, cov, w.m, config.rank_adjusted_shape)
+    shape = mcmc._gibbs_shape(config.prior_shape, w.m)
     u = np.zeros(cov.rank)
     merits = np.zeros(w.m)
     variance = config.fix_variance if fixed else 1.0
@@ -163,6 +163,10 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match=f"{setting}.*finite"):
             SamplerConfig(beta=0.2, iterations=100, **{setting: value})
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SamplerConfig(beta=0.2, iterations=100, seed=-1)
+
     def test_zero_burn_in_is_allowed(self):
         assert SamplerConfig(beta=0.2, iterations=10, burn_in=0).burn_in == 0
 
@@ -187,19 +191,6 @@ class TestGibbsVariance:
         exact_var = exact_mean**2 / (shape - 2.0)
         assert abs(draws.mean() / exact_mean - 1.0) < 0.02
         assert abs(draws.var(ddof=1) / exact_var - 1.0) < 0.05
-
-    def test_rank_adjusted_shape_uses_rank_not_dimension(self):
-        chi, omega = 3.0, 2.0
-        rng = np.random.default_rng(7)
-        draws = np.array(
-            [
-                gibbs_variance(self.merits, self.cov, chi, omega, rng, rank_adjusted=True)
-                for _ in range(100_000)
-            ]
-        )
-        shape = chi + 0.5 * self.cov.rank  # rank 4, not dimension 5
-        exact_mean = (omega + self.quad) / (shape - 1.0)
-        assert abs(draws.mean() / exact_mean - 1.0) < 0.02
 
     def test_draws_are_positive(self):
         rng = np.random.default_rng(0)
@@ -636,6 +627,33 @@ class TestPersistence:
         kernel = {"kind": "squared_exponential", "length_scale": 0.09, "mixture": None}
         rewrite_dump(path, config={**dataclasses.asdict(samples.config), "kernel": kernel})
         assert load_chain(path).config == samples.config
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_a_dump_that_stores_the_retired_shape_setting_loads(
+        self, tmp_path, toy_wins, toy_prior, stored
+    ):
+        samples = self.make_samples(toy_wins, toy_prior)
+        path = tmp_path / "chain.npz"
+        save_chain(samples, path)
+        rewrite_dump(path, config={**dataclasses.asdict(samples.config), "rank_adjusted_shape": stored})
+        assert load_chain(path).config == samples.config
+        rewrite_dump(path, config={**dataclasses.asdict(samples.config), "shape": stored})
+        with pytest.raises(ValueError, match="corrupt or unreadable.*shape"):
+            load_chain(path)
+
+    @pytest.mark.parametrize("meta", [[], "meta", {"config": "beta = 0.2"}, {"extra": []}])
+    def test_meta_json_of_another_shape_is_corrupt(self, tmp_path, toy_wins, toy_prior, meta):
+        path = tmp_path / "chain.npz"
+        save_chain(self.make_samples(toy_wins, toy_prior), path)
+        with zipfile.ZipFile(path) as archive:
+            entries = {name: archive.read(name) for name in archive.namelist()}
+        stored = json.loads(entries["meta.json"])
+        entries["meta.json"] = json.dumps({**stored, **meta} if isinstance(meta, dict) else meta)
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in entries.items():
+                archive.writestr(name, data)
+        with pytest.raises(ValueError, match="corrupt or unreadable.*meta.json must be an object"):
+            _read_chain(path)
 
     def test_identical_samples_dump_byte_identical_files(self, tmp_path, toy_wins, toy_prior):
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"

@@ -111,6 +111,10 @@ class TestSimStudySpec:
         with pytest.raises(ValueError, match="length scales"):
             SimStudySpec(length_scales=(0.5, -0.1))
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            SimStudySpec(seed=-1)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_settings(self, value):
         with pytest.raises(ValueError, match="prior_variance.*finite"):

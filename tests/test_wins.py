@@ -146,6 +146,10 @@ class TestWinMatrixValidation:
         with pytest.raises(ValueError, match="diagonal"):
             WinMatrix(entities=("a", "b"), wins=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_rejects_a_duplicate_entity_by_name(self):
+        with pytest.raises(ValueError, match="duplicate entity name: 'a'"):
+            WinMatrix(entities=("a", "b", "a"), wins=np.zeros((3, 3)))
+
 
 class TestExport:
     def test_ordered_pair_rows(self, tmp_path):
