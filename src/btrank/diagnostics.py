@@ -27,9 +27,9 @@ LONGRUN_BLOCK = 4096
 # temporary stays small next to the draws: about 270 kB at M=33
 QUAD_FORM_BLOCK = 1024
 
-# windows per comparison in rank_stability_series: at M=33 the (block, M, M)
-# pair comparison takes about 1 MB
-RANK_STABILITY_BLOCK = 1024
+# most pairwise comparisons per block in rank_stability_series and
+# report._outranking: each (block, M, M) bool temporary takes about 1 MB
+COMPARISON_BUDGET = 1_000_000
 
 # most draws per parameter that trace_export returns; a longer chain's draws
 # are strided, since the file would otherwise grow without bound
@@ -38,8 +38,9 @@ TRACE_EXPORT_CAP = 100_000
 
 def default_bandwidth(n: int) -> int:
     """Bartlett window width used when none is requested: floor(N^(1/3))."""
-    b = max(1, int(n ** (1.0 / 3.0)))
-    # float cube roots misround near perfect cubes
+    b = max(1, round(n ** (1.0 / 3.0)))
+    # the float cube root misrounds near perfect cubes: correct its nearest
+    # integer, which may lie either side, to the exact floor
     while (b + 1) ** 3 <= n:
         b += 1
     while b > 1 and b**3 > n:
@@ -90,8 +91,8 @@ def sample_covariance(draws: np.ndarray) -> np.ndarray:
     return _covariance(centred.T @ centred, len(centred))
 
 
-def spectral_longrun(draws: np.ndarray, bandwidth: int | None) -> tuple[np.ndarray, bool, np.ndarray]:
-    """Bartlett-windowed long-run covariance, whether it was floored, and the sample covariance.
+def spectral_longrun(draws: np.ndarray, bandwidth: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett-windowed long-run covariance and the sample covariance.
 
     The sample covariance plus the lag-``k`` autocovariances (divisor N),
     ``0 < |k| < bandwidth``, weighted by ``1 - |k| / bandwidth``.  The weight
@@ -99,9 +100,10 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int | None) -> tuple[np.ndarr
     zero-padded centred draws holding both draws of a lag-``k`` pair, so the
     sum is the Gram matrix of the window sums, formed ``LONGRUN_BLOCK``
     windows at a time; a ``bandwidth`` of None uses ``default_bandwidth(N)``.
-    Materially negative eigenvalues are floored at zero, and the flag says
-    whether that happened.  The third value is :func:`sample_covariance` of
-    the draws, formed from the same centred draws instead of a second copy.
+    As a sum of two Gram matrices with positive weights it is positive
+    semidefinite by construction.  The second value is
+    :func:`sample_covariance` of the draws, formed from the same centred
+    draws instead of a second copy.
     """
     n = len(draws)
     b = _check_bandwidth(bandwidth, n)
@@ -117,16 +119,7 @@ def spectral_longrun(draws: np.ndarray, bandwidth: int | None) -> tuple[np.ndarr
         stop = min(start + LONGRUN_BLOCK, n + b - 1)
         block = padded[start + b : stop + b] - padded[start:stop]
         windows += block.T @ block
-    longrun = (windows / b + gram / (n - 1.0)) / n
-    longrun = 0.5 * (longrun + longrun.T)
-
-    eigvals, eigvecs = np.linalg.eigh(longrun)
-    tol = 1e-12 * max(eigvals[-1], np.finfo(float).tiny)
-    floored = bool(eigvals[0] < -tol)
-    if floored:
-        longrun = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-        longrun = 0.5 * (longrun + longrun.T)
-    return longrun, floored, sigma
+    return (windows / b + gram / (n - 1.0)) / n, sigma
 
 
 def _ess_core(sigma: np.ndarray, longrun: np.ndarray, n: int) -> tuple[float, int]:
@@ -163,14 +156,14 @@ def _cap_ess(ess: float, n: int) -> tuple[float, bool]:
 
 
 def _ess(draws, bandwidth: int | None):
-    """Capped ESS, retained rank, bandwidth, and the eigenvalue-floor and cap flags."""
+    """Capped ESS, retained rank, bandwidth, and whether the ESS was capped."""
     draws = _as_draws(draws)
     n = len(draws)
     b = _check_bandwidth(bandwidth, n)
-    longrun, floored, sigma = spectral_longrun(draws, b)
+    longrun, sigma = spectral_longrun(draws, b)
     ess, rank_est = _ess_core(sigma, longrun, n)
     ess, capped = _cap_ess(ess, n)
-    return ess, rank_est, b, floored, capped
+    return ess, rank_est, b, capped
 
 
 def multivariate_ess(draws: np.ndarray, bandwidth: int | None = None) -> tuple[float, int]:
@@ -301,9 +294,10 @@ def rank_stability_series(samples: ChainSamples, window: int) -> list[tuple[int,
     sums = np.cumsum(np.add.reduceat(samples.merit_draws, np.arange(0, n, window), axis=0), axis=0)
     final = rank_entities(sums[-1] / n)
     points = list(range(window, n, window)) + [n]
+    step = max(1, COMPARISON_BUDGET // samples.m**2)
     distances = []
-    for lo in range(0, len(points), RANK_STABILITY_BLOCK):
-        ends = np.array(points[lo : lo + RANK_STABILITY_BLOCK], dtype=float)
+    for lo in range(0, len(points), step):
+        ends = np.array(points[lo : lo + step], dtype=float)
         # each window's entities from first to last (a stable sort of the
         # negated means breaks ties as rank_entities does), by final rank:
         # a pair out of order is discordant
@@ -414,12 +408,12 @@ def diagnose(samples: ChainSamples, bandwidth: int | None = None, window: int | 
     callers can carry provenance such as whether prior jitter was applied.
     """
     draws = samples.merit_draws
-    ess, rank_est, b, floored, capped = _ess(draws, bandwidth)
+    ess, rank_est, b, capped = _ess(draws, bandwidth)
 
     per_param = np.array([univariate_ess(draws[:, j]) for j in range(samples.m)])
     window = max(1, samples.n_kept // 100) if window is None else window
     series = rank_stability_series(samples, window)
-    flags = {"eigenvalue_floor_hit": floored, "ess_capped": capped, **(extra_flags or {})}
+    flags = {"ess_capped": capped, **(extra_flags or {})}
 
     return DiagnosticsReport(
         ess=ess,

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import _run_starts, write_csv, write_json
-from .diagnostics import rank_entities
+from .diagnostics import COMPARISON_BUDGET, rank_entities
 from .mcmc import ChainSamples
 
 MIN_DRAWS = 100
@@ -60,9 +60,9 @@ def _outranking(draws: np.ndarray) -> np.ndarray:
     # tie: (wins + ties / 2) / n = (n + wins - wins') / 2n
     n, m = draws.shape
     wins = np.zeros((m, m), dtype=np.int64)
-    # at most 10^6 pairwise comparisons per chunk: 1 MB, plus the chunk's
-    # copy of its distinct rows (0.24 MB at M=33)
-    step = max(1, 1_000_000 // (m * m))
+    # at most COMPARISON_BUDGET pairwise comparisons per chunk: 1 MB, plus the
+    # chunk's copy of its distinct rows (0.24 MB at M=33)
+    step = max(1, COMPARISON_BUDGET // (m * m))
     for start in range(0, n, step):
         chunk = draws[start : start + step]
         # a rejected proposal repeats the row before it: compare each run of

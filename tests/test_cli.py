@@ -340,7 +340,7 @@ class TestDiagnose:
         rewrite_dump(dump, extra=metadata)
         assert main(["diagnose", str(dump), "--out", str(diag_out)]) == 0
         flags = json.loads((diag_out / "diagnostics.json").read_text(encoding="utf-8"))["flags"]
-        assert set(flags) == {"eigenvalue_floor_hit", "ess_capped", "jitter_applied"}
+        assert set(flags) == {"ess_capped", "jitter_applied"}
         assert flags["jitter_applied"] is False
 
     def test_reads_the_dump_once(self, tmp_path, monkeypatch):
