@@ -57,7 +57,6 @@ table = IndicatorTable(
     indicators=tuple(f"ind{k}" for k in range(8)),
     values=values,
     polarity=np.array([1, 1, 1, 1, -1, 1, 1, 1]),
-    missing=np.zeros_like(values, dtype=bool),
 )
 w = build_win_matrix(table)
 income = IncomeTable(

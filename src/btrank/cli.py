@@ -331,9 +331,11 @@ def cmd_simulate(args) -> int:
     write_study_csv(rows, out / "study.csv")
 
     for method in ("bayes", "mle"):
-        scores = [row["spearman"] for row in rows if row["method"] == method]
-        # nanmedian warns when no cell has an estimate; the median reads nan either way
-        median = np.nan if np.isnan(scores).all() else np.nanmedian(scores)
+        scores = np.array([row["spearman"] for row in rows if row["method"] == method])
+        # the bits of np.nanmedian without its numpy.ma import; nan when no cell has an estimate
+        s = np.sort(scores[np.isfinite(scores)])
+        k = len(s)
+        median = (s[(k - 1) // 2] + s[k // 2]) / 2 if k else np.nan
         print(f"  {method}: median spearman {median:.3f} over {len(scores)} cells")
     print(f"outputs written to {out}")
     return 0

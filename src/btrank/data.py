@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,9 @@ MISSING_POLICIES = ("drop_indicators", "drop_entities")
 # default income cut points between the low, middle and high zones
 LOW_INCOME_MAX = 100_000.0
 MIDDLE_INCOME_MAX = 200_000.0
+
+# a number whose integer digits commas group in threes, or in twos before a last three
+_GROUPED_DIGITS = re.compile(r"[+-]?[1-9](\d{0,2}(,\d{3})+|\d?(,\d\d)+,\d{3})(\.\d*)?")
 
 # rows per write in write_long_csv: about 40 kB of text, so memory stays
 # flat however long the column
@@ -32,18 +36,17 @@ def _check_unique(kind: str, names) -> None:
 
 @dataclass(frozen=True)
 class IndicatorTable:
-    """Entities-by-indicators values with per-indicator polarity and a missing mask.
+    """Entities-by-indicators values with per-indicator polarity.
 
     ``polarity[k]`` is +1 when larger values of indicator ``k`` are better and
-    -1 when smaller values are better.  ``values[i, k]`` is meaningful only
-    where ``missing[i, k]`` is False.
+    -1 when smaller values are better.  A missing cell is NaN in ``values``,
+    in a hand-built table as in a loaded one; ``missing`` is the mask of them.
     """
 
     entities: tuple[str, ...]
     indicators: tuple[str, ...]
     values: np.ndarray
     polarity: np.ndarray
-    missing: np.ndarray
 
     def __post_init__(self) -> None:
         m, k = len(self.entities), len(self.indicators)
@@ -55,14 +58,17 @@ class IndicatorTable:
         _check_unique("indicator", self.indicators)
         if self.values.shape != (m, k):
             raise ValueError(f"values must have shape {(m, k)}, got {self.values.shape}")
-        if self.missing.shape != (m, k):
-            raise ValueError(f"missing mask must have shape {(m, k)}, got {self.missing.shape}")
         if self.polarity.shape != (k,):
             raise ValueError(f"polarity must have shape {(k,)}, got {self.polarity.shape}")
         if not np.isin(self.polarity, (-1, 1)).all():
             raise ValueError("every polarity entry must be +1 or -1")
-        if not np.isfinite(self.values[~self.missing]).all():
-            raise ValueError("non-finite value outside the missing mask")
+        if np.isinf(self.values).any():
+            i, j = np.argwhere(np.isinf(self.values))[0]
+            raise ValueError(f"indicator {self.indicators[j]!r} for {self.entities[i]!r} is infinite, not NaN")
+
+    @property
+    def missing(self) -> np.ndarray:
+        return np.isnan(self.values)
 
     @property
     def m(self) -> int:
@@ -80,13 +86,11 @@ class IndicatorTable:
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.arange(self.k) if cols is None else np.asarray(cols, dtype=int)
-        cells = np.ix_(rows, cols)
         return IndicatorTable(
             entities=tuple(self.entities[i] for i in rows),
             indicators=tuple(self.indicators[k] for k in cols),
-            values=self.values[cells],
+            values=self.values[np.ix_(rows, cols)],
             polarity=self.polarity[cols],
-            missing=self.missing[cells],
         )
 
 
@@ -128,8 +132,18 @@ class IncomeTable:
 
 
 def _parse_number(text: str) -> float | None:
-    """Parse a plain decimal, stripping thousands separators; None if not numeric."""
-    cleaned = text.strip().replace(",", "")
+    """Parse a plain decimal; None if not numeric.
+
+    Commas may group the integer digits in threes (``1,234,567``) or, as in
+    Indian figures, a last three and then twos (``12,34,567``).  A cell with
+    commas placed any other way, such as ``0,5`` or ``1,2345``, parses as NaN,
+    never as the digits left when its commas are dropped.
+    """
+    cleaned = text.strip()
+    if "," in cleaned:
+        if not _GROUPED_DIGITS.fullmatch(cleaned):
+            return np.nan
+        cleaned = cleaned.replace(",", "")
     if not cleaned:
         return None
     try:
@@ -171,7 +185,7 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
     """Load an entity-by-indicator CSV plus its polarity file.
 
     The first column holds entity names and the header row names the
-    indicators.  Empty or non-numeric cells are recorded in the missing mask.
+    indicators.  Empty or non-numeric cells are missing, left NaN in ``values``.
     Every indicator must appear in the polarity file.
     """
     rows = _read_rows(path)
@@ -182,7 +196,6 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
 
     entities: list[str] = []
     values = np.full((len(rows) - 1, len(indicators)), np.nan)
-    missing = np.zeros_like(values, dtype=bool)
     for i, row in enumerate(rows[1:]):
         entities.append(row[0].strip())
         cells = row[1:]
@@ -193,12 +206,12 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
         for j, cell in enumerate(cells):
             parsed = _parse_number(cell)
             if parsed is None:
-                missing[i, j] = True
-            elif not -np.inf < parsed < np.inf:
+                continue  # a missing cell stays NaN
+            if not -np.inf < parsed < np.inf:
+                problem = "has misplaced digit-group commas" if "," in cell else "must be finite"
                 raise ValueError(f"{path}: indicator {indicators[j]!r} for {entities[i]!r} "
-                                 f"must be finite, got {cell!r}")
-            else:
-                values[i, j] = parsed
+                                 f"{problem}, got {cell!r}")
+            values[i, j] = parsed
 
     polarity_map = load_polarity(polarity_path)
     absent = [name for name in indicators if name not in polarity_map]
@@ -211,7 +224,6 @@ def load_indicators(path, polarity_path) -> IndicatorTable:
         indicators=indicators,
         values=values,
         polarity=polarity,
-        missing=missing,
     )
 
 

@@ -80,19 +80,22 @@ class ConstrainedCovariance:
 
     ``projected`` annihilates the all-ones vector and has rank ``rank``
     (M - 1 for a positive definite kernel matrix).  ``factor`` maps standard
-    normals in R^rank to merit-space draws, and ``pinv`` is the Moore-Penrose
-    pseudo-inverse used in quadratic forms.
+    normals in R^rank to merit-space draws, so ``rank`` is its width, and
+    ``pinv`` is the Moore-Penrose pseudo-inverse used in quadratic forms.
     """
 
     projected: np.ndarray
     factor: np.ndarray
     pinv: np.ndarray
-    rank: int
     jitter_applied: bool
 
     @property
     def m(self) -> int:
         return self.projected.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.factor.shape[1]
 
 
 def constrain(sigma: np.ndarray, jitter: float = 1e-10) -> ConstrainedCovariance:
@@ -135,7 +138,6 @@ def constrain(sigma: np.ndarray, jitter: float = 1e-10) -> ConstrainedCovariance
         projected=projected,
         factor=kept_vecs * np.sqrt(kept_vals),
         pinv=(kept_vecs / kept_vals) @ kept_vecs.T,
-        rank=int(keep.sum()),
         jitter_applied=jitter_applied,
     )
 

@@ -43,16 +43,14 @@ def make_table(m: int = 6, k: int = 8, seed: int = 5, missing_cells=()) -> Indic
     """Small deterministic indicator table for unit tests."""
     rng = np.random.default_rng(seed)
     values = np.round(rng.normal(50.0, 10.0, (m, k)), 1)
-    missing = np.zeros((m, k), dtype=bool)
     for i, j in missing_cells:
-        missing[i, j] = True
+        values[i, j] = np.nan
     polarity = np.where(np.arange(k) % 3 == 0, -1, 1)
     return IndicatorTable(
         entities=tuple(f"ent{i:02d}" for i in range(m)),
         indicators=tuple(f"ind{j:02d}" for j in range(k)),
         values=values,
         polarity=polarity,
-        missing=missing,
     )
 
 

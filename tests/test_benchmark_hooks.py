@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from btrank import diagnostics, trace_export
+from btrank import IncomeTable, KernelSpec, build_prior, diagnostics, trace_export
 
-from .conftest import toy_samples
+from .conftest import make_income, toy_samples
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -87,6 +87,18 @@ def test_trace_rows_count_every_kept_draw_of_every_parameter(tracer):
     observe = tracer.OBSERVE["diagnostics.trace_export"]
     assert observe(trace_export(samples)) == n * (m + 1)
     assert observe(trace_export(samples, params=["merit0", "variance"])) == n * 2
+
+
+@pytest.mark.parametrize("incomes, width", [(make_income(m=7).income, 6), ([5e4, 5e4, 2e5], 1)])
+def test_the_prior_rank_is_the_width_of_the_prior_factor(tracer, incomes, width):
+    # the tracer reads prior.rank through this observer; a misread would
+    # report a wrong rank without failing.  Equal incomes cost a dimension.
+    m = len(incomes)
+    income = IncomeTable(entities=tuple(f"e{i}" for i in range(m)), income=np.asarray(incomes),
+                         zone=("low",) * m)
+    cov = build_prior(income, KernelSpec("squared_exponential", 0.5))
+    assert cov.factor.shape[1] == width
+    assert tracer.OBSERVE["prior.build_prior"](cov) == width
 
 
 def test_the_harness_reads_of_a_chain_still_work(tracer, tmp_path):

@@ -423,7 +423,6 @@ class TestMleNewman:
             indicators=table.indicators,
             values=values,
             polarity=table.polarity,
-            missing=table.missing,
         )
         w = build_win_matrix(table, "split")
         merits = mle_newman(w)

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,9 @@ from btrank.cli import (
 from btrank.diagnostics import ESS_MIN_DRAWS, default_bandwidth
 
 from .conftest import DATA_DIR, csv_floats, make_income, rewrite_dump, toy_samples
+
+# a child Python that imports the package from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": str(DATA_DIR.parent / "src")}
 
 # The btrank script of an installed package, if this environment has one.
 INSTALLED_SCRIPT = (
@@ -564,6 +568,39 @@ class TestSimulate:
         assert code == 0
         assert "  mle: median spearman nan over 2 cells\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("replications", [3, 4])
+    def test_the_printed_medians_are_numpys_over_the_cells_with_an_estimate(
+        self, tmp_path, capsys, replications
+    ):
+        # one contest per pair among 6 entities: some replications have no likelihood estimate
+        spec = tmp_path / "study.conf"
+        spec.write_text(f"m = 6\nk_comparisons = 1\nreplications = {replications}\nseed = 7\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", str(spec), "--iterations", "300", "--out", str(out)]) == 0
+        with open(out / "study.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        printed = capsys.readouterr().out
+        for method in ("bayes", "mle"):
+            scores = [float(row["spearman"]) for row in rows if row["method"] == method]
+            median = np.nanmedian(scores) if not np.isnan(scores).all() else np.nan
+            assert f"  {method}: median spearman {median:.3f} over {replications} cells\n" in printed
+
+    def test_a_small_study_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique and np.nanmedian each import numpy.ma, which adds over 1 MB to a study's peak memory
+        spec = tmp_path / "study.conf"
+        spec.write_text("m = 4\nk_comparisons = 1\nreplications = 3\nseed = 2\n", encoding="utf-8")
+        code = (
+            "import sys\nfrom btrank.cli import main\n"
+            f"main(['simulate', {str(spec)!r}, '--iterations', '300', '--out', {str(tmp_path / 'out')!r}])\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestFailureModes:
     def test_missing_input_specification(self, tmp_path, capsys):
@@ -654,16 +691,19 @@ class TestFailureModes:
         assert f"{config}:1: unknown configuration key 'rank_adjusted_shape'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("table, message", [
-        ("indicators", "indicator '{indicator}' for '{entity}' must be finite, got 'nan'"),
-        ("income", "income for '{entity}' must be a finite positive number, got 'inf'"),
+    @pytest.mark.parametrize("table, message, cell", [
+        ("indicators", "indicator '{indicator}' for '{entity}' must be finite, got 'nan'", "nan"),
+        ("income", "income for '{entity}' must be a finite positive number, got 'inf'", "inf"),
+        ("indicators", "indicator '{indicator}' for '{entity}' has misplaced digit-group commas, "
+                       "got '0,5'", '"0,5"'),
     ])
-    def test_a_non_finite_input_value_names_its_place(self, tmp_path, capsys, table, message):
-        # the first entity's first indicator, or its income, replaced in a copy of the data
+    def test_a_non_finite_input_value_names_its_place(self, tmp_path, capsys, table, message, cell):
+        # the first entity's first indicator, or its income, replaced in a copy of the data; a
+        # misplaced comma is refused the same way, not read as the digits without it
         lines = (DATA_DIR / f"{table}.csv").read_text(encoding="utf-8").splitlines()
         indicator = lines[0].split(",")[1]
         entity, *cells = lines[1].split(",")
-        cells[0] = "nan" if table == "indicators" else "inf"
+        cells[0] = cell
         lines[1] = ",".join([entity, *cells])
         bad = tmp_path / f"{table}.csv"
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -883,7 +923,7 @@ class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "btrank", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert "fit" in proc.stdout and "simulate" in proc.stdout
@@ -906,7 +946,7 @@ class TestEntryPoints:
         )
         proc = subprocess.run(
             [sys.executable, str(wrapper), "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert "diagnose" in proc.stdout

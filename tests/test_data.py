@@ -135,6 +135,40 @@ class TestLoadIndicators:
             load_indicators(ind, pol)
 
 
+class TestDigitGroups:
+    """Commas group digits in threes or, in Indian figures, in twos before a last three."""
+
+    GROUPED = [("1,234,567", 1234567.0), ("12,34,567", 1234567.0), ("2,49,211", 249211.0),
+               ("-1,00,000", -100000.0)]
+    MISPLACED = ["0,5", "1,5", "1,,2", "1,2345"]
+
+    @pytest.mark.parametrize("cell, value", GROUPED)
+    def test_a_grouped_indicator_cell_reads_as_its_number(self, tmp_path, cell, value):
+        ind = write(tmp_path / "i.csv", f'entity,a\nx,"{cell}"\ny,2\n')
+        pol = write(tmp_path / "p.csv", "indicator,polarity\na,1\n")
+        assert load_indicators(ind, pol).values[0, 0] == value
+
+    @pytest.mark.parametrize("cell, value", [(c, v) for c, v in GROUPED if v > 0])
+    def test_a_grouped_income_cell_reads_as_its_number(self, tmp_path, cell, value):
+        path = write(tmp_path / "inc.csv", f'entity,income\nx,"{cell}"\ny,90000\n')
+        assert load_income(path).income[0] == value
+
+    @pytest.mark.parametrize("cell", MISPLACED)
+    def test_a_misplaced_comma_in_an_indicator_cell_is_refused_where_it_is(self, tmp_path, cell):
+        ind = write(tmp_path / "i.csv", f'entity,a,b\nx,1,2\ny,3,"{cell}"\n')
+        pol = write(tmp_path / "p.csv", "indicator,polarity\na,1\nb,1\n")
+        message = f"{ind}: indicator 'b' for 'y' has misplaced digit-group commas, got '{cell}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_indicators(ind, pol)
+
+    @pytest.mark.parametrize("cell", MISPLACED)
+    def test_a_misplaced_comma_in_an_income_cell_is_refused_by_entity(self, tmp_path, cell):
+        path = write(tmp_path / "inc.csv", f'entity,income\nx,90000\ny,"{cell}"\n')
+        message = f"{path}: income for 'y' must be a finite positive number, got '{cell}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_income(path)
+
+
 class TestZones:
     def test_boundaries_are_inclusive_on_the_low_side(self):
         assert zone_for_income(100_000.0, 100_000.0, 200_000.0) == "low"
@@ -340,18 +374,22 @@ class TestTableValidation:
                 indicators=("i",),
                 values=np.ones((2, 1)),
                 polarity=np.array([2]),
-                missing=np.zeros((2, 1), dtype=bool),
             )
 
-    def test_indicator_table_rejects_hidden_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            IndicatorTable(
+    def test_indicator_table_reads_nan_as_missing_and_refuses_inf(self):
+        def table(cell):
+            return IndicatorTable(
                 entities=("a", "b"),
-                indicators=("i",),
-                values=np.array([[np.nan], [1.0]]),
-                polarity=np.array([1]),
-                missing=np.zeros((2, 1), dtype=bool),
+                indicators=("i", "j"),
+                values=np.array([[1.0, 2.0], [cell, 3.0]]),
+                polarity=np.array([1, -1]),
             )
+
+        assert table(np.nan).missing.tolist() == [[False, False], [True, False]]
+        assert not table(4.0).missing.any()
+        for cell in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="indicator 'i' for 'b' is infinite"):
+                table(cell)
 
     def test_income_table_rejects_bad_zone(self):
         with pytest.raises(ValueError, match="unknown zone"):

@@ -22,7 +22,6 @@ def table_from_values(values, polarity=None):
         indicators=tuple(f"i{j}" for j in range(k)),
         values=values,
         polarity=np.asarray(polarity),
-        missing=np.zeros((m, k), dtype=bool),
     )
 
 
